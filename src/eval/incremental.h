@@ -63,8 +63,9 @@ namespace dmtl {
 // operation transparently heals by a full cold rebuild from the input log.
 //
 // Single-threaded externally (like Database): one operation at a time.
-// Internally, Advance/Retract use options.num_threads workers exactly like
-// the batch engine, with the same byte-identical-output contract.
+// Internally, every operation runs the same chase driver as Materialize,
+// with options.num_threads workers and the same byte-identical-output
+// contract.
 class IncrementalMaterializer {
  public:
   // Validates the program (arity, safety, stratification) and checks

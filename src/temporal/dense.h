@@ -14,9 +14,9 @@ namespace dmtl {
 // rule bounds, so on the common path every Interval endpoint is an integer
 // and every Rational comparison/addition in the set kernels is needless
 // generality. When the engine proves at load time that a program+database
-// is all-integral (see DenseTimelineEligible in seminaive.cc), it enables
-// this thread-local fast path and the IntervalSet kernels re-encode bounds
-// as packed int64 keys:
+// is all-integral (see DenseProgramOk/DenseDatabaseOk in seminaive.cc), it
+// enables this thread-local fast path and the IntervalSet kernels re-encode
+// bounds as packed int64 keys:
 //
 //   lower bound  v, open o  ->  key 2v + o
 //   upper bound  v, open o  ->  key 2v - o
