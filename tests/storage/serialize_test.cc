@@ -5,9 +5,24 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 namespace dmtl {
 namespace {
+
+// A scratch file path unique to the running test and process, so parallel
+// ctest workers never race on a shared name.
+std::string ScratchPath(const std::string& suffix) {
+  return (std::filesystem::path(::testing::TempDir()) /
+          ("dmtl_serialize_" +
+           std::string(::testing::UnitTest::GetInstance()
+                           ->current_test_info()
+                           ->name()) +
+           "_" + std::to_string(getpid()) + suffix))
+      .string();
+}
 
 TEST(SerializeTest, RendersParseableFacts) {
   Database db;
@@ -59,9 +74,7 @@ TEST(SerializeTest, FileRoundTrip) {
   Database db;
   db.Insert("margin", {Value::Symbol("acc"), Value::Double(97.5)},
             Interval::Closed(Rational(1), Rational(9)));
-  std::string path =
-      (std::filesystem::temp_directory_path() / "dmtl_serialize_test.dmtl")
-          .string();
+  std::string path = ScratchPath(".dmtl");
   ASSERT_TRUE(WriteDatabaseFile(db, path).ok());
   auto loaded = ReadDatabaseFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -71,9 +84,7 @@ TEST(SerializeTest, FileRoundTrip) {
 
 TEST(SerializeTest, ReadSourceFileReportsErrors) {
   EXPECT_FALSE(ReadDatabaseFile("/nonexistent/nope.dmtl").ok());
-  std::string path =
-      (std::filesystem::temp_directory_path() / "dmtl_bad_test.dmtl")
-          .string();
+  std::string path = ScratchPath(".dmtl");
   {
     std::ofstream f(path);
     f << "p(a)@5";  // missing dot

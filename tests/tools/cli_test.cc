@@ -7,13 +7,22 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 namespace dmtl {
 namespace {
 
 class CliTest : public ::testing::Test {
  protected:
+  // One directory per test and process, so parallel ctest workers never
+  // share (or delete) each other's files.
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "dmtl_cli_test";
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           ("dmtl_cli_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
+            "_" + std::to_string(getpid()));
     std::filesystem::create_directories(dir_);
   }
 
