@@ -14,8 +14,7 @@
 
 namespace dmtl {
 
-// Configuration shared by every session shape. (The pre-facade name
-// StreamingOptions aliases this in src/streaming/session.h.)
+// Configuration shared by every session shape.
 struct SessionOptions {
   // Engine knobs (threads, memos, chain acceleration, budgets...).
   // min_time / max_time / provenance are managed by the session and must be
