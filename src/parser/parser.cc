@@ -1,7 +1,9 @@
 #include "src/parser/parser.h"
 
+#include <charconv>
 #include <map>
 #include <optional>
+#include <system_error>
 
 #include "src/parser/lexer.h"
 
@@ -443,15 +445,26 @@ class ParserImpl {
   Result<Value> ParseNumberValue() {
     bool negative = Accept(TokenKind::kMinus);
     if (Peek().kind != TokenKind::kNumber) return Error("expected number");
-    std::string text = Next().text;
-    if (text.find('.') != std::string::npos ||
-        text.find('e') != std::string::npos ||
-        text.find('E') != std::string::npos) {
-      double d = std::stod(text);
-      return Value::Double(negative ? -d : d);
+    // Convert with the sign attached so INT64_MIN reads back; a literal
+    // out of range is a ParseError, never an exception.
+    std::string text = Peek().text;
+    if (negative) text.insert(text.begin(), '-');
+    const char* first = text.data();
+    const char* last = first + text.size();
+    if (text.find_first_of(".eE") != std::string::npos) {
+      double d = 0;
+      if (std::from_chars(first, last, d).ec != std::errc()) {
+        return Error("double literal out of range");
+      }
+      Next();
+      return Value::Double(d);
     }
-    int64_t i = std::stoll(text);
-    return Value::Int(negative ? -i : i);
+    int64_t i = 0;
+    if (std::from_chars(first, last, i).ec != std::errc()) {
+      return Error("integer literal out of int64 range");
+    }
+    Next();
+    return Value::Int(i);
   }
 
   // --- expressions --------------------------------------------------------
@@ -611,8 +624,9 @@ class ParserImpl {
       Next();
       text += "/" + Next().text;
     }
-    DMTL_ASSIGN_OR_RETURN(Rational r, Rational::FromString(text));
-    return negative ? -r : r;
+    // Signed before conversion, so an int64-minimum bound reads back.
+    if (negative) text.insert(text.begin(), '-');
+    return Rational::FromString(text);
   }
 
   int VarIndex(const std::string& name) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace dmtl {
 namespace {
 
@@ -192,6 +195,42 @@ TEST(ParserTest, KeywordLiterals) {
   EXPECT_TRUE(db->Holds("flag", {Value::Bool(true)}, Rational(1)));
   EXPECT_TRUE(db->Holds("flag", {Value::Bool(false)}, Rational(2)));
   EXPECT_TRUE(db->Holds("n", {Value::Null()}, Rational(3)));
+}
+
+TEST(ParserTest, OutOfRangeNumbersAreParseErrorsNotExceptions) {
+  const char* texts[] = {
+      "p(1e999)@[1, 2] .",
+      "p(-1e999)@[1, 2] .",
+      "p(1e-400)@[1, 2] .",
+      "p(99999999999999999999)@[1, 2] .",
+      "p(-9223372036854775809)@[1, 2] .",
+      "p(1)@[99999999999999999999, 2] .",
+      "q(X) :- p(X), X > 1e999 .",
+      "q(X) :- p(X), X = 9223372036854775808 .",
+  };
+  for (const char* text : texts) {
+    Status status;
+    ASSERT_NO_THROW(status = Parser::Parse(text).status()) << text;
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << text << ": " << status;
+  }
+}
+
+TEST(ParserTest, Int64ExtremesAndSubnormalsReadBack) {
+  auto db = Parser::ParseDatabase(
+      "i(-9223372036854775808)@1 . i(9223372036854775807)@2 . "
+      "d(4.9406564584124654e-324)@3 . d(-0.0)@4 . "
+      "b(0)@[-9223372036854775808, -1/3) .");
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_TRUE(db->Holds("i", {Value::Int(INT64_MIN)}, Rational(1)));
+  EXPECT_TRUE(db->Holds("i", {Value::Int(INT64_MAX)}, Rational(2)));
+  EXPECT_TRUE(db->Holds("d", {Value::Double(5e-324)}, Rational(3)));
+  const std::vector<Fact> zero = db->FactsOf("d");
+  ASSERT_EQ(zero.size(), 2u);
+  EXPECT_TRUE(zero[0].args[0].AsDouble() == 0.0 ||
+              zero[1].args[0].AsDouble() == 0.0);
+  EXPECT_TRUE(db->Holds("b", {Value::Int(0)}, Rational(INT64_MIN)));
+  EXPECT_TRUE(db->Holds("b", {Value::Int(0)}, Rational(-1, 2)));
+  EXPECT_FALSE(db->Holds("b", {Value::Int(0)}, Rational(-1, 3)));
 }
 
 TEST(ParserTest, EthPerpStyleRoundTrip) {
