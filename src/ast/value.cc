@@ -1,11 +1,13 @@
 #include "src/ast/value.h"
 
+#include <atomic>
+#include <bit>
 #include <cassert>
 #include <cmath>
-#include <deque>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 namespace dmtl {
 
@@ -13,6 +15,14 @@ namespace {
 
 // Process-wide symbol interner. Uses the function-local-static-reference
 // pattern so it is never destroyed (safe at any shutdown order).
+//
+// Names live in blocks that never move: block b holds the ids
+// [kFirstBlock * (2^b - 1), kFirstBlock * (2^(b+1) - 1)). Intern() appends
+// under the mutex; Name() reads without it. An id only reaches a reader
+// through the Intern() call that created it, so the write of its slot
+// happens-before every read of it, and no other thread ever writes that
+// slot again. The id map keys are views of those stable strings, so a
+// lookup hit allocates nothing while the mutex is held.
 class SymbolTable {
  public:
   static SymbolTable& Get() {
@@ -22,27 +32,41 @@ class SymbolTable {
 
   uint32_t Intern(std::string_view name) {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = ids_.find(std::string(name));
+    auto it = ids_.find(name);
     if (it != ids_.end()) return it->second;
-    uint32_t id = static_cast<uint32_t>(names_.size());
-    names_.push_back(std::string(name));
-    ids_.emplace(names_.back(), id);
+    const uint32_t id = static_cast<uint32_t>(ids_.size());
+    const auto [block, offset] = Locate(id);
+    std::string* slots = blocks_[block].load(std::memory_order_relaxed);
+    if (slots == nullptr) {
+      slots = new std::string[kFirstBlock << block];
+      blocks_[block].store(slots, std::memory_order_release);
+    }
+    slots[offset].assign(name);
+    ids_.emplace(slots[offset], id);
     return id;
   }
 
-  const std::string& Name(uint32_t id) {
-    std::lock_guard<std::mutex> lock(mu_);
-    assert(id < names_.size());
-    return names_[id];
+  const std::string& Name(uint32_t id) const {
+    const auto [block, offset] = Locate(id);
+    const std::string* slots = blocks_[block].load(std::memory_order_acquire);
+    assert(slots != nullptr);
+    return slots[offset];
   }
 
  private:
+  static constexpr size_t kFirstBlock = 1024;
+  // 2^32 ids fit in the first 23 blocks.
+  static constexpr int kBlocks = 23;
+
+  static std::pair<int, size_t> Locate(uint32_t id) {
+    const size_t q = id / kFirstBlock + 1;
+    const int block = std::bit_width(q) - 1;
+    return {block, id - kFirstBlock * ((size_t{1} << block) - 1)};
+  }
+
   std::mutex mu_;
-  // Deque, not vector: Name() hands out references that must survive
-  // concurrent Intern() growth (deque never relocates elements), so reader
-  // threads can resolve names while another thread interns new symbols.
-  std::deque<std::string> names_;
-  std::unordered_map<std::string, uint32_t> ids_;
+  std::atomic<std::string*> blocks_[kBlocks] = {};
+  std::unordered_map<std::string_view, uint32_t> ids_;
 };
 
 }  // namespace

@@ -1,90 +1,98 @@
 #include "src/storage/snapshot.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
-#include "src/parser/parser.h"
 #include "src/storage/serialize.h"
 
 namespace dmtl {
 
 namespace {
 
-constexpr char kMagic[] = "DMTL-SNAPSHOT";
+constexpr std::string_view kMagic = "DMTL-SNAPSHOT";
 constexpr int kVersion = 1;
 
-// One fact statement in SerializeDatabase form -> Fact. A snapshot line
-// carries exactly one statement; more (or none) is a corrupt snapshot.
-Result<Fact> ParseFactLine(const std::string& line) {
-  DMTL_ASSIGN_OR_RETURN(Database db, Parser::ParseDatabase(line));
-  if (db.NumIntervals() != 1) {
-    return Status::ParseError("snapshot fact line must hold one statement: " +
-                              line);
-  }
-  for (const auto& [pred, rel] : db.relations()) {
-    for (const auto& [tuple, set] : rel.data()) {
-      for (const Interval& iv : set) {
-        return Fact{pred, tuple, iv};
-      }
-    }
-  }
-  return Status::ParseError("empty fact line in snapshot: " + line);
+// Reads an integer field (decimal, or hex for the fingerprint) that must
+// span all of `text`.
+template <typename T>
+bool ReadWhole(std::string_view text, T* out, int base = 10) {
+  const char* last = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), last, *out, base);
+  return !text.empty() && ec == std::errc() && ptr == last;
 }
 
-// Sequential line reader with the fixed-format helpers the decoder needs;
-// every helper reports the offending line on mismatch.
-class LineReader {
+// Sequential scanner over the snapshot's lines, as views into the text,
+// with the fixed-format helpers the decoder needs; every helper reports
+// the offending line on mismatch.
+class LineScanner {
  public:
-  explicit LineReader(const std::string& text) : in_(text) {}
+  explicit LineScanner(std::string_view text) : rest_(text) {}
 
-  Result<std::string> Next(const char* what) {
-    std::string line;
-    if (!std::getline(in_, line)) {
-      return Status::ParseError(std::string("snapshot truncated: expected ") +
-                                what);
+  // The unread remainder of the text.
+  std::string_view rest() const { return rest_; }
+
+  Result<std::string_view> Next(std::string_view what) {
+    if (rest_.empty()) {
+      return Status::ParseError("snapshot truncated: expected " +
+                                std::string(what));
     }
+    const size_t end = rest_.find('\n');
+    const std::string_view line = rest_.substr(0, end);
+    rest_.remove_prefix(end == std::string_view::npos ? rest_.size()
+                                                      : end + 1);
     return line;
   }
 
   // "key rest-of-line" -> rest-of-line.
-  Result<std::string> Keyed(const std::string& key) {
-    DMTL_ASSIGN_OR_RETURN(std::string line, Next(key.c_str()));
-    if (line.compare(0, key.size() + 1, key + " ") != 0) {
-      return Status::ParseError("snapshot: expected '" + key +
-                                " ...', got: " + line);
+  Result<std::string_view> Keyed(std::string_view key) {
+    DMTL_ASSIGN_OR_RETURN(std::string_view line, Next(key));
+    if (!line.starts_with(key) || line.substr(key.size(), 1) != " ") {
+      return Status::ParseError("snapshot: expected '" + std::string(key) +
+                                " ...', got: " + std::string(line));
     }
     return line.substr(key.size() + 1);
   }
 
-  Result<Rational> KeyedRational(const std::string& key) {
-    DMTL_ASSIGN_OR_RETURN(std::string value, Keyed(key));
-    return Rational::FromString(value);
+  Result<Rational> KeyedRational(std::string_view key) {
+    DMTL_ASSIGN_OR_RETURN(std::string_view value, Keyed(key));
+    return Rational::FromString(std::string(value));
   }
 
-  Result<bool> KeyedBool(const std::string& key) {
-    DMTL_ASSIGN_OR_RETURN(std::string value, Keyed(key));
+  Result<bool> KeyedBool(std::string_view key) {
+    DMTL_ASSIGN_OR_RETURN(std::string_view value, Keyed(key));
     if (value == "0") return false;
     if (value == "1") return true;
-    return Status::ParseError("snapshot: " + key + " must be 0 or 1, got: " +
-                              value);
+    return Status::ParseError("snapshot: " + std::string(key) +
+                              " must be 0 or 1, got: " + std::string(value));
   }
 
-  Result<size_t> KeyedCount(const std::string& key) {
-    DMTL_ASSIGN_OR_RETURN(std::string value, Keyed(key));
-    char* end = nullptr;
-    unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0') {
-      return Status::ParseError("snapshot: bad " + key + " count: " + value);
+  Result<size_t> KeyedCount(std::string_view key) {
+    DMTL_ASSIGN_OR_RETURN(std::string_view value, Keyed(key));
+    size_t n = 0;
+    if (!ReadWhole(value, &n)) {
+      return Status::ParseError("snapshot: bad " + std::string(key) +
+                                " count: " + std::string(value));
     }
-    return static_cast<size_t>(n);
+    return n;
   }
 
  private:
-  std::istringstream in_;
+  std::string_view rest_;
 };
+
+void AppendLine(std::string* out, std::string_view key,
+                std::string_view value) {
+  out->append(key);
+  out->push_back(' ');
+  out->append(value);
+  out->push_back('\n');
+}
 
 }  // namespace
 
@@ -99,138 +107,147 @@ uint64_t ProgramFingerprint(const Program& program) {
 }
 
 std::string EncodeSnapshot(const SessionSnapshot& snapshot) {
-  std::ostringstream out;
-  out << kMagic << " v" << snapshot.version << "\n";
+  std::string out;
+  // The database text dominates; fact-shaped lines average well under 128
+  // bytes.
+  out.reserve(256 + snapshot.database_text.size() +
+              128 * (snapshot.channels.size() + snapshot.input_log.size() +
+                     snapshot.provenance.size()));
+  out.append(kMagic);
+  out.append(" v");
+  out.append(std::to_string(snapshot.version));
+  out.push_back('\n');
   char fp[32];
   std::snprintf(fp, sizeof(fp), "%016llx",
                 static_cast<unsigned long long>(snapshot.program_fingerprint));
-  out << "program " << fp << "\n";
-  out << "watermark " << snapshot.watermark.ToString() << "\n";
-  out << "window_min " << snapshot.window_min.ToString() << "\n";
-  out << "horizon "
-      << (snapshot.horizon.has_value() ? snapshot.horizon->ToString()
-                                       : std::string("none"))
-      << "\n";
-  out << "advanced " << (snapshot.advanced ? 1 : 0) << "\n";
-  out << "provenance " << (snapshot.track_provenance ? 1 : 0) << "\n";
+  AppendLine(&out, "program", fp);
+  AppendLine(&out, "watermark", snapshot.watermark.ToString());
+  AppendLine(&out, "window_min", snapshot.window_min.ToString());
+  AppendLine(&out, "horizon",
+             snapshot.horizon.has_value() ? snapshot.horizon->ToString()
+                                          : std::string("none"));
+  AppendLine(&out, "advanced", snapshot.advanced ? "1" : "0");
+  AppendLine(&out, "provenance", snapshot.track_provenance ? "1" : "0");
   // Each open channel renders as a point fact at its logged-through time:
   // the statement carries the predicate, the held value, and logged_hi.
-  out << "channels " << snapshot.channels.size() << "\n";
+  AppendLine(&out, "channels", std::to_string(snapshot.channels.size()));
   for (const SessionSnapshot::Channel& ch : snapshot.channels) {
-    out << SerializeFactLine(ch.predicate, ch.args,
-                             Interval::Point(ch.logged_hi))
-        << "\n";
+    AppendFactLine(&out, ch.predicate, ch.args, Interval::Point(ch.logged_hi));
+    out.push_back('\n');
   }
-  out << "log " << snapshot.input_log.size() << "\n";
+  AppendLine(&out, "log", std::to_string(snapshot.input_log.size()));
   for (const Fact& f : snapshot.input_log) {
-    out << SerializeFactLine(f.predicate, f.args, f.interval) << "\n";
+    AppendFactLine(&out, f.predicate, f.args, f.interval);
+    out.push_back('\n');
   }
-  size_t db_lines = 0;
-  for (char c : snapshot.database_text) {
-    if (c == '\n') ++db_lines;
-  }
-  out << "db " << db_lines << "\n" << snapshot.database_text;
-  out << "prov " << snapshot.provenance.size() << "\n";
+  const size_t db_lines = static_cast<size_t>(
+      std::count(snapshot.database_text.begin(),
+                 snapshot.database_text.end(), '\n'));
+  AppendLine(&out, "db", std::to_string(db_lines));
+  out.append(snapshot.database_text);
+  AppendLine(&out, "prov", std::to_string(snapshot.provenance.size()));
   for (const DerivationRecord& rec : snapshot.provenance) {
-    out << rec.rule_index << " " << rec.round << " "
-        << SerializeFactLine(rec.predicate, rec.tuple, rec.piece) << "\n";
+    out.append(std::to_string(rec.rule_index));
+    out.push_back(' ');
+    out.append(std::to_string(rec.round));
+    out.push_back(' ');
+    AppendFactLine(&out, rec.predicate, rec.tuple, rec.piece);
+    out.push_back('\n');
   }
-  return out.str();
+  return out;
 }
 
 Result<SessionSnapshot> DecodeSnapshot(const std::string& text) {
-  LineReader reader(text);
-  DMTL_ASSIGN_OR_RETURN(std::string header, reader.Next("header"));
-  std::istringstream head(header);
-  std::string magic, version_tag;
-  head >> magic >> version_tag;
-  if (magic != kMagic) {
-    return Status::ParseError("not a DMTL snapshot (bad magic): " + header);
+  LineScanner lines(text);
+  DMTL_ASSIGN_OR_RETURN(std::string_view header, lines.Next("header"));
+  const size_t space = header.find(' ');
+  if (header.substr(0, space) != kMagic) {
+    return Status::ParseError("not a DMTL snapshot (bad magic): " +
+                              std::string(header));
   }
-  if (version_tag.size() < 2 || version_tag[0] != 'v') {
-    return Status::ParseError("snapshot: bad version tag: " + header);
+  const std::string_view version_tag =
+      space == std::string_view::npos ? std::string_view()
+                                      : header.substr(space + 1);
+  int version = 0;
+  if (!version_tag.starts_with("v") ||
+      !ReadWhole(version_tag.substr(1), &version)) {
+    return Status::ParseError("snapshot: bad version tag: " +
+                              std::string(header));
   }
-  const int version = std::atoi(version_tag.c_str() + 1);
   if (version != kVersion) {
     return Status::InvalidArgument(
-        "snapshot version " + version_tag.substr(1) +
+        "snapshot version " + std::string(version_tag.substr(1)) +
         " is not supported by this build (expected v1)");
   }
 
   SessionSnapshot snap;
   snap.version = version;
-  DMTL_ASSIGN_OR_RETURN(std::string fp_hex, reader.Keyed("program"));
-  char* end = nullptr;
-  snap.program_fingerprint = std::strtoull(fp_hex.c_str(), &end, 16);
-  if (end == fp_hex.c_str() || *end != '\0') {
-    return Status::ParseError("snapshot: bad program fingerprint: " + fp_hex);
+  DMTL_ASSIGN_OR_RETURN(std::string_view fp_hex, lines.Keyed("program"));
+  if (!ReadWhole(fp_hex, &snap.program_fingerprint, 16)) {
+    return Status::ParseError("snapshot: bad program fingerprint: " +
+                              std::string(fp_hex));
   }
-  DMTL_ASSIGN_OR_RETURN(snap.watermark, reader.KeyedRational("watermark"));
-  DMTL_ASSIGN_OR_RETURN(snap.window_min, reader.KeyedRational("window_min"));
-  DMTL_ASSIGN_OR_RETURN(std::string horizon, reader.Keyed("horizon"));
+  DMTL_ASSIGN_OR_RETURN(snap.watermark, lines.KeyedRational("watermark"));
+  DMTL_ASSIGN_OR_RETURN(snap.window_min, lines.KeyedRational("window_min"));
+  DMTL_ASSIGN_OR_RETURN(std::string_view horizon, lines.Keyed("horizon"));
   if (horizon != "none") {
-    DMTL_ASSIGN_OR_RETURN(Rational h, Rational::FromString(horizon));
+    DMTL_ASSIGN_OR_RETURN(Rational h, Rational::FromString(std::string(horizon)));
     snap.horizon = h;
   }
-  DMTL_ASSIGN_OR_RETURN(snap.advanced, reader.KeyedBool("advanced"));
-  DMTL_ASSIGN_OR_RETURN(snap.track_provenance,
-                        reader.KeyedBool("provenance"));
+  DMTL_ASSIGN_OR_RETURN(snap.advanced, lines.KeyedBool("advanced"));
+  DMTL_ASSIGN_OR_RETURN(snap.track_provenance, lines.KeyedBool("provenance"));
 
-  DMTL_ASSIGN_OR_RETURN(size_t num_channels, reader.KeyedCount("channels"));
-  snap.channels.reserve(num_channels);
+  DMTL_ASSIGN_OR_RETURN(size_t num_channels, lines.KeyedCount("channels"));
   for (size_t i = 0; i < num_channels; ++i) {
-    DMTL_ASSIGN_OR_RETURN(std::string line, reader.Next("channel line"));
-    DMTL_ASSIGN_OR_RETURN(Fact fact, ParseFactLine(line));
+    DMTL_ASSIGN_OR_RETURN(std::string_view line, lines.Next("channel line"));
+    DMTL_ASSIGN_OR_RETURN(Fact fact, ReadFactLine(line));
     if (fact.interval.lo().infinite || fact.interval.hi().infinite ||
         fact.interval.lo().value != fact.interval.hi().value) {
       return Status::ParseError("snapshot: channel line must be a point: " +
-                                line);
+                                std::string(line));
     }
     snap.channels.push_back(SessionSnapshot::Channel{
         fact.predicate, std::move(fact.args), fact.interval.lo().value});
   }
 
-  DMTL_ASSIGN_OR_RETURN(size_t num_log, reader.KeyedCount("log"));
-  snap.input_log.reserve(num_log);
+  DMTL_ASSIGN_OR_RETURN(size_t num_log, lines.KeyedCount("log"));
   for (size_t i = 0; i < num_log; ++i) {
-    DMTL_ASSIGN_OR_RETURN(std::string line, reader.Next("log line"));
-    DMTL_ASSIGN_OR_RETURN(Fact fact, ParseFactLine(line));
+    DMTL_ASSIGN_OR_RETURN(std::string_view line, lines.Next("log line"));
+    DMTL_ASSIGN_OR_RETURN(Fact fact, ReadFactLine(line));
     snap.input_log.push_back(std::move(fact));
   }
 
-  DMTL_ASSIGN_OR_RETURN(size_t num_db, reader.KeyedCount("db"));
-  std::string db_text;
+  // Every db line is read now, so a corrupt snapshot fails at decode, not
+  // mid-restore; the section itself is kept verbatim.
+  DMTL_ASSIGN_OR_RETURN(size_t num_db, lines.KeyedCount("db"));
+  const std::string_view db_start = lines.rest();
   for (size_t i = 0; i < num_db; ++i) {
-    DMTL_ASSIGN_OR_RETURN(std::string line, reader.Next("db line"));
-    db_text += line;
-    db_text += '\n';
+    DMTL_ASSIGN_OR_RETURN(std::string_view line, lines.Next("db line"));
+    DMTL_RETURN_IF_ERROR(ReadFactLine(line).status());
   }
-  // Validate the text parses now so a corrupt snapshot fails at decode, not
-  // mid-restore.
-  DMTL_RETURN_IF_ERROR(Parser::ParseDatabase(db_text).status());
-  snap.database_text = std::move(db_text);
+  snap.database_text =
+      std::string(db_start.substr(0, db_start.size() - lines.rest().size()));
 
-  DMTL_ASSIGN_OR_RETURN(size_t num_prov, reader.KeyedCount("prov"));
-  snap.provenance.reserve(num_prov);
+  DMTL_ASSIGN_OR_RETURN(size_t num_prov, lines.KeyedCount("prov"));
   for (size_t i = 0; i < num_prov; ++i) {
-    DMTL_ASSIGN_OR_RETURN(std::string line, reader.Next("prov line"));
-    std::istringstream rec_in(line);
-    size_t rule_index = 0, round = 0;
-    if (!(rec_in >> rule_index >> round)) {
-      return Status::ParseError("snapshot: bad provenance record: " + line);
-    }
-    std::string fact_text;
-    std::getline(rec_in, fact_text);
-    if (!fact_text.empty() && fact_text.front() == ' ') {
-      fact_text.erase(fact_text.begin());
-    }
-    DMTL_ASSIGN_OR_RETURN(Fact fact, ParseFactLine(fact_text));
+    DMTL_ASSIGN_OR_RETURN(std::string_view line, lines.Next("prov line"));
+    // "rule_index round fact-line".
+    const size_t first = line.find(' ');
+    const size_t second = line.find(' ', first == std::string_view::npos
+                                             ? line.size()
+                                             : first + 1);
     DerivationRecord rec;
+    if (second == std::string_view::npos ||
+        !ReadWhole(line.substr(0, first), &rec.rule_index) ||
+        !ReadWhole(line.substr(first + 1, second - first - 1),
+                      &rec.round)) {
+      return Status::ParseError("snapshot: bad provenance record: " +
+                                std::string(line));
+    }
+    DMTL_ASSIGN_OR_RETURN(Fact fact, ReadFactLine(line.substr(second + 1)));
     rec.predicate = fact.predicate;
     rec.tuple = std::move(fact.args);
     rec.piece = fact.interval;
-    rec.rule_index = rule_index;
-    rec.round = round;
     snap.provenance.push_back(std::move(rec));
   }
   return snap;

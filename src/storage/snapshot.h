@@ -28,9 +28,13 @@ namespace dmtl {
 //   - a program fingerprint, so a snapshot is never restored against a
 //     different rule set (the database text would silently mismatch)
 //
-// The encoding reuses the fact-statement format of SerializeDatabase for
-// every fact-shaped field, so snapshots stay human-readable and parseable
-// with the ordinary parser.
+// Every fact-shaped field (channels, the input log, the database section,
+// provenance records) is one canonical fact line, exactly as
+// SerializeFactLine emits it (src/storage/serialize.h). The codec writes
+// and reads those lines itself - AppendFactLine / ReadFactLine - in one
+// pass; a line in any other spelling is a corrupt snapshot. Snapshots stay
+// human-readable, and Parser (the source-file parser) still reads every
+// line, but it is not on the snapshot path.
 struct SessionSnapshot {
   // An open step channel (see StreamingSession::PushStep): the held value
   // and the time through which its coverage has been logged.
@@ -51,8 +55,8 @@ struct SessionSnapshot {
   bool track_provenance = true;
   std::vector<Channel> channels;
   std::vector<Fact> input_log;
-  // SerializeDatabase text of the materialized database (sorted fact
-  // statements) - the byte-identity anchor.
+  // SerializeDatabase text of the materialized database (sorted canonical
+  // fact lines, each '\n'-terminated) - the byte-identity anchor.
   std::string database_text;
   std::vector<DerivationRecord> provenance;
 };
@@ -66,7 +70,9 @@ uint64_t ProgramFingerprint(const Program& program);
 std::string EncodeSnapshot(const SessionSnapshot& snapshot);
 
 // Parses EncodeSnapshot output. Unknown magic or a version this build does
-// not understand is an error, never a silent partial decode.
+// not understand is an error, never a silent partial decode; so is any
+// line, the database section's included, that is not exactly what the
+// encoder writes. Never throws: every malformed input is a Status.
 Result<SessionSnapshot> DecodeSnapshot(const std::string& text);
 
 // File convenience wrappers.

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 namespace dmtl {
 namespace {
@@ -80,6 +84,84 @@ TEST(TupleTest, HashAndToString) {
   EXPECT_NE(h(t1), h(t3));  // overwhelmingly likely
   EXPECT_EQ(TupleToString(t1), "(acc, 20)");
   EXPECT_EQ(TupleToString({}), "()");
+}
+
+// The process-wide symbol table is shared by every session and worker:
+// writers intern fresh names (crossing storage-block boundaries) and render
+// them while readers resolve ids the writers publish, re-intern known names,
+// and render tuples. Run under ThreadSanitizer in CI.
+TEST(SymbolTableTest, ConcurrentInternAndName) {
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kPerWriter = 3000;
+  const std::string tag = "symtab_concurrent_";
+  auto name_of = [&tag](int w, int i) {
+    return tag + std::to_string(w) + "_" + std::to_string(i);
+  };
+  std::vector<std::string> known;
+  std::vector<uint32_t> known_ids;
+  for (int i = 0; i < 64; ++i) {
+    known.push_back(tag + "known_" + std::to_string(i));
+    known_ids.push_back(Value::Symbol(known.back()).symbol_id());
+  }
+
+  std::vector<std::vector<std::atomic<uint32_t>>> published(kWriters);
+  std::vector<std::atomic<int>> counts(kWriters);
+  for (auto& p : published) {
+    p = std::vector<std::atomic<uint32_t>>(kPerWriter);
+  }
+  std::atomic<int> failures{0};
+  std::atomic<int> writers_done{0};
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        const std::string name = name_of(w, i);
+        Value v = Value::Symbol(name);
+        if (v.AsSymbolName() != name ||
+            TupleToString({v}) != "(" + name + ")") {
+          failures.fetch_add(1);
+        }
+        published[w][i].store(v.symbol_id(), std::memory_order_relaxed);
+        counts[w].store(i + 1, std::memory_order_release);
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&, r] {
+      size_t k = static_cast<size_t>(r);
+      while (writers_done.load() < kWriters) {
+        for (int w = 0; w < kWriters; ++w) {
+          const int n = counts[w].load(std::memory_order_acquire);
+          if (n == 0) continue;
+          const int i = static_cast<int>(k % static_cast<size_t>(n));
+          const uint32_t id =
+              published[w][i].load(std::memory_order_relaxed);
+          if (Value::SymbolFromId(id).AsSymbolName() != name_of(w, i)) {
+            failures.fetch_add(1);
+          }
+        }
+        const size_t j = k % known.size();
+        if (Value::Symbol(known[j]).symbol_id() != known_ids[j] ||
+            TupleToString({Value::SymbolFromId(known_ids[j])}) !=
+                "(" + known[j] + ")") {
+          failures.fetch_add(1);
+        }
+        k += 7;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Every published id still resolves, and interning is idempotent.
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kPerWriter; ++i) {
+      EXPECT_EQ(Value::Symbol(name_of(w, i)).symbol_id(),
+                published[w][i].load());
+    }
+  }
 }
 
 }  // namespace

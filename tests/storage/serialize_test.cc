@@ -70,6 +70,80 @@ TEST(SerializeTest, DeterministicOrdering) {
   EXPECT_EQ(SerializeDatabase(a), SerializeDatabase(b));
 }
 
+TEST(SerializeTest, ReadFactLineReadsTheCanonicalLine) {
+  auto fact = ReadFactLine("tranM(acc1, 20.0, \"Q q\", -3)@(-7/2, inf) .");
+  ASSERT_TRUE(fact.ok()) << fact.status();
+  EXPECT_EQ(fact->predicate, InternPredicate("tranM"));
+  EXPECT_EQ(fact->args, (Tuple{Value::Symbol("acc1"), Value::Double(20.0),
+                               Value::Symbol("Q q"), Value::Int(-3)}));
+  EXPECT_EQ(fact->interval,
+            *Interval::Make(Bound::Open(Rational(-7, 2)), Bound::Infinite()));
+  EXPECT_EQ(SerializeFactLine(fact->predicate, fact->args, fact->interval),
+            "tranM(acc1, 20.0, \"Q q\", -3)@(-7/2, inf) .");
+}
+
+TEST(SerializeTest, ReadFactLineRejectsAnythingElse) {
+  // Source syntax the parser accepts but the writer never emits, and
+  // malformed or out-of-range lines: all ParseErrors, none thrown.
+  const char* lines[] = {
+      "",
+      "p(1)@[1,2] .",
+      "p(1)@[1, 2].",
+      "p(1)@[1, 2] . ",
+      "p(1)@[1, 2] .\n",
+      " p(1)@[1, 2] .",
+      "p(1)@1 .",
+      "p(1) .",
+      "p(1)@[1, 2] . % comment",
+      "p( 1)@[1, 2] .",
+      "p(1,2)@[1, 2] .",
+      "p(1)@[2, 1] .",
+      "p(1)@[1, 1) .",
+      "p(1)@[inf, 2] .",
+      "p(1)@[1, -inf] .",
+      "p(1)@[1/0, 2] .",
+      "p(1)@[1/-2, 2] .",
+      "p(1)@[2.5, 3] .",
+      "p(1)@[+1, 2] .",
+      "p(1)@[99999999999999999999, 2] .",
+      "p(1e999)@[1, 2] .",
+      "p(99999999999999999999)@[1, 2] .",
+      "p(+1)@[1, 2] .",
+      "p(- 1)@[1, 2] .",
+      "p(1e)@[1, 2] .",
+      "p(X)@[1, 2] .",
+      "p(\"open)@[1, 2] .",
+      "P(1)@[1, 2] .",
+      "p@[1, 2] .",
+      "p(1)",
+  };
+  for (const char* line : lines) {
+    Result<Fact> fact = Status::Internal("unset");
+    ASSERT_NO_THROW(fact = ReadFactLine(line)) << line;
+    EXPECT_FALSE(fact.ok()) << "accepted: " << line;
+    EXPECT_EQ(fact.status().code(), StatusCode::kParseError) << line;
+    EXPECT_NE(fact.status().message().find("column"), std::string::npos)
+        << fact.status();
+  }
+}
+
+TEST(SerializeTest, ReadDatabaseTextInsertsEveryLine) {
+  Database db;
+  db.Insert("price", {Value::Double(1301.5)},
+            Interval::ClosedOpen(Rational(100), Rational(160)));
+  db.Insert("price", {Value::Double(1301.5)},
+            Interval::ClosedOpen(Rational(200), Rational(260)));
+  db.Insert("w", {}, Interval::All());
+  const std::string text = SerializeDatabase(db);
+  Database back;
+  ASSERT_TRUE(ReadDatabaseText(text, &back).ok());
+  EXPECT_EQ(SerializeDatabase(back), text);
+  EXPECT_TRUE(ReadDatabaseText("", &back).ok());
+  Database partial;
+  EXPECT_FALSE(ReadDatabaseText("w()@(-inf, inf) .", &partial).ok());
+  EXPECT_FALSE(ReadDatabaseText("w()@(-inf, inf) .\n\n", &partial).ok());
+}
+
 TEST(SerializeTest, FileRoundTrip) {
   Database db;
   db.Insert("margin", {Value::Symbol("acc"), Value::Double(97.5)},

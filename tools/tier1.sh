@@ -14,6 +14,6 @@ ctest --test-dir build --output-on-failure
 echo "=== tier1: ThreadSanitizer build (parallel tests) ==="
 cmake -B build-tsan -S . -DDMTL_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j --target dmtl_tests
-ctest --test-dir build-tsan --output-on-failure -R "ThreadPool|Parallel|JoinPlan|PlannerFuzz|IntervalDelta|DeltaFuzz|Guard|FaultInjection"
+ctest --test-dir build-tsan --output-on-failure -R "ThreadPool|Parallel|JoinPlan|PlannerFuzz|IntervalDelta|DeltaFuzz|Guard|FaultInjection|SymbolTable|Snapshot"
 
 echo "tier1: OK"
