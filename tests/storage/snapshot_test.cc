@@ -131,6 +131,33 @@ TEST(SnapshotCodecTest, CorruptDatabaseSectionIsRejected) {
   EXPECT_FALSE(decoded.ok());
 }
 
+TEST(SnapshotCodecTest, OutOfRangeNumbersAreParseErrorsInEverySection) {
+  const std::string encoded = EncodeSnapshot(TestSnapshot(TestProgram()));
+  // The first line of each fact-shaped section: a channel, a log entry, a
+  // db line, a provenance record. Numbers the parser used to throw on go
+  // into its first time bound and in front of its first argument.
+  for (const char* section : {"channels ", "log ", "db ", "prov "}) {
+    const size_t header = encoded.find(std::string("\n") + section);
+    ASSERT_NE(header, std::string::npos) << section;
+    const size_t line = encoded.find('\n', header + 1) + 1;
+    const size_t at = encoded.find('@', line);
+    ASSERT_NE(at, std::string::npos) << section;
+    for (const char* bad : {"1e999", "99999999999999999999"}) {
+      std::string in_bound = encoded;
+      in_bound.replace(at + 2, encoded.find(',', at) - at - 2, bad);
+      std::string in_args = encoded;
+      in_args.insert(encoded.find('(', line) + 1, std::string(bad) + ", ");
+      for (const std::string& text : {in_bound, in_args}) {
+        Status status;
+        ASSERT_NO_THROW(status = DecodeSnapshot(text).status())
+            << section << bad;
+        EXPECT_EQ(status.code(), StatusCode::kParseError)
+            << section << bad << ": " << status;
+      }
+    }
+  }
+}
+
 TEST(SnapshotCodecTest, TruncatedInputIsRejected) {
   SessionSnapshot snap = TestSnapshot(TestProgram());
   std::string text = EncodeSnapshot(snap);
