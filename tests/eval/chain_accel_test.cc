@@ -147,5 +147,82 @@ TEST(ChainAccelTest, IntervalSeedsWalkByShifting) {
   EXPECT_FALSE(db.Holds("p", {Value::Symbol("x")}, Rational(6)));
 }
 
+// Chains guarded by another chain: the guard g is itself a tick-by-tick
+// chain, so its extent is a punctual grid (one allowed component per point)
+// - the shape of the paper's isOpen/marketOpen/position guards. The blocker
+// stop reads g, which lifts p one stratum above its guard. Each case
+// materializes with and without acceleration, requires identical databases,
+// and pins the accelerator's extension count.
+struct GridRun {
+  std::string db;
+  size_t chain_extensions = 0;
+};
+
+GridRun RunGuardedChain(const std::string& text, int64_t max_time,
+                        bool accel) {
+  auto unit = Parser::Parse(text);
+  EXPECT_TRUE(unit.ok()) << unit.status();
+  EngineOptions options;
+  options.min_time = Rational(0);
+  options.max_time = Rational(max_time);
+  options.enable_chain_acceleration = accel;
+  Database db = unit->database;
+  EngineStats stats;
+  Status status = Materialize(unit->program, &db, options, &stats);
+  EXPECT_TRUE(status.ok()) << status;
+  return {db.ToString(), stats.chain_extensions};
+}
+
+void ExpectGridMatchesUnaccelerated(const std::string& facts,
+                                    int64_t max_time, size_t extensions,
+                                    bool future = false) {
+  const std::string op = future ? "boxplus[1,1]" : "boxminus[1,1]";
+  const std::string text =
+      "g(A) :- gs(A) .\n"
+      "g(A) :- " + op + " g(A), not gstop(A) .\n"
+      "stop(A) :- halt(A), g(A) .\n"
+      "p(A) :- seed(A) .\n"
+      "p(A) :- " + op + " p(A), g(A), not stop(A) .\n" + facts;
+  GridRun on = RunGuardedChain(text, max_time, true);
+  GridRun off = RunGuardedChain(text, max_time, false);
+  EXPECT_EQ(on.db, off.db);
+  EXPECT_EQ(off.chain_extensions, 0u);
+  EXPECT_EQ(on.chain_extensions, extensions);
+}
+
+TEST(ChainAccelTest, PunctualGuardGridAligned) {
+  // g holds at 0, 1, ..., 100; p walks from 5 to the window end.
+  ExpectGridMatchesUnaccelerated("gs(x)@0 . seed(x)@5 .", 100, 386);
+}
+
+TEST(ChainAccelTest, PunctualGuardGridBlockerMidRun) {
+  // halt(x)@50 ends p's run at 49; the guard grid itself runs on.
+  ExpectGridMatchesUnaccelerated("gs(x)@0 . seed(x)@5 . halt(x)@50 .", 100,
+                                 284);
+}
+
+TEST(ChainAccelTest, PunctualGuardGridMisaligned) {
+  // g holds at k + 1/2 only, so p's next grid point (6) is never allowed.
+  ExpectGridMatchesUnaccelerated("gs(x)@0.5 . seed(x)@5 .", 100, 196);
+}
+
+TEST(ChainAccelTest, PunctualGuardGridSecondSeedAhead) {
+  // The walk from 5 runs into the seed at 40: coverage stops it mid-run.
+  ExpectGridMatchesUnaccelerated("gs(x)@0 . seed(x)@5 . seed(x)@40 .", 100,
+                                 384);
+}
+
+TEST(ChainAccelTest, PunctualGuardGridLongerThanBatchCap) {
+  // 4998 grid points to walk: more than one batch's worth.
+  ExpectGridMatchesUnaccelerated("gs(x)@0 . seed(x)@2 .", 5000, 19992);
+}
+
+TEST(ChainAccelTest, PunctualGuardGridBackwardWalk) {
+  // boxplus chains walk toward the window start: g from 100 down to 0, p
+  // from 90 down to the blocker at 30.
+  ExpectGridMatchesUnaccelerated("gs(x)@100 . seed(x)@90 . halt(x)@30 .", 100,
+                                 314, /*future=*/true);
+}
+
 }  // namespace
 }  // namespace dmtl
