@@ -20,7 +20,13 @@ namespace dmtl {
 // blocker predicate lives in a strictly lower stratum (hence is fully
 // materialized). Instead of one fixpoint round per tick, the closure of
 // each seed tuple is emitted in a single pass: the guard-allowed time set
-// is computed once per tuple and the step-c progression is walked directly.
+// is computed once per tuple and the step-c progression is walked through
+// it. Extend walks point by point, one emit per grid point; it is the
+// interpreter's path and the oracle for the compiled kernel
+// (RuleVm::ExtendChain), which emits each grid run as one interval batch. A
+// run there crosses from one allowed component into the next while that
+// component holds the next grid point, so guards that are themselves chains
+// (punctual grids, one component per point) do not split it.
 //
 // This is an optimization only - it derives exactly the facts the naive
 // fixpoint would (the ablation bench verifies equality of materializations).
