@@ -228,9 +228,8 @@ struct EngineStats {
   size_t planner_probe_hits = 0;     // lookups that found a posting list
   size_t planner_pruned_tuples = 0;  // candidates skipped by envelope/hull
   // Memo-literal set intersections (row extent ∩ memoized operator-path
-  // output) and the interval components they carried - the dominant
-  // remaining per-candidate cost once rules are compiled (docs/ENGINE.md,
-  // "Rule compilation"); the number the streaming mode exists to shrink.
+  // output) and the interval components they carried - a per-candidate
+  // cost of compiled rules; the number the streaming mode exists to shrink.
   size_t memo_intersections = 0;
   size_t memo_intersect_components = 0;
   // Estimated cost of each rule's most recent plan, indexed like
