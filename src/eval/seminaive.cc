@@ -12,10 +12,8 @@
 
 #include "src/analysis/safety.h"
 #include "src/analysis/stratifier.h"
-#include "src/common/arena.h"
 #include "src/common/fault_injector.h"
 #include "src/common/thread_pool.h"
-#include "src/temporal/dense.h"
 #include "src/eval/aggregate_eval.h"
 #include "src/eval/chain_accel.h"
 #include "src/eval/incremental.h"
@@ -268,69 +266,6 @@ std::vector<int> DeltaOccurrencesAny(const CompiledRule& c,
   return occurrences;
 }
 
-// --- dense-timeline selection (EngineOptions::enable_dense_timeline) ------
-// The load-time predicate: every interval endpoint in the program (operator
-// ranges, head erosion ranges), the evaluation window, and the stored data
-// must be an integer the key encoding can represent. The scan is one pass
-// over rules plus one over stored intervals; the kernels re-verify per
-// element anyway, so this only decides whether the fast path is worth
-// enabling, never correctness.
-
-bool DenseBoundOk(const Bound& b) {
-  if (b.infinite) return true;
-  if (!b.value.is_integer()) return false;
-  const int64_t v = b.value.numerator();
-  return v <= dense::kMaxMagnitude && v >= -dense::kMaxMagnitude;
-}
-
-bool DenseIntervalOk(const Interval& iv) {
-  return DenseBoundOk(iv.lo()) && DenseBoundOk(iv.hi());
-}
-
-bool DenseMetricOk(const MetricAtom& m) {
-  switch (m.kind()) {
-    case MetricAtom::Kind::kUnary:
-      return DenseIntervalOk(m.range()) && DenseMetricOk(m.left());
-    case MetricAtom::Kind::kBinary:
-      return DenseIntervalOk(m.range()) && DenseMetricOk(m.left()) &&
-             DenseMetricOk(m.right());
-    default:
-      return true;
-  }
-}
-
-bool DenseTimeOk(const std::optional<Rational>& t) {
-  if (!t.has_value()) return true;
-  if (!t->is_integer()) return false;
-  const int64_t v = t->numerator();
-  return v <= dense::kMaxMagnitude && v >= -dense::kMaxMagnitude;
-}
-
-bool DenseProgramOk(const Program& program) {
-  for (const Rule& rule : program.rules()) {
-    for (const HeadAtom::HeadOp& op : rule.head.ops) {
-      if (!DenseIntervalOk(op.range)) return false;
-    }
-    for (const BodyLiteral& lit : rule.body) {
-      if (lit.kind == BodyLiteral::Kind::kMetric && !DenseMetricOk(lit.metric)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool DenseDatabaseOk(const Database& db) {
-  for (const auto& [pred, rel] : db.relations()) {
-    for (const auto& [tuple, set] : rel.data()) {
-      for (const Interval& iv : set) {
-        if (!DenseIntervalOk(iv)) return false;
-      }
-    }
-  }
-  return true;
-}
-
 // Runs one round's tasks across the pool and merges the buffered results
 // into the shared store through `sink` in rule-index order.
 Status RunRoundParallel(const std::vector<RoundTask>& tasks,
@@ -343,8 +278,7 @@ Status RunRoundParallel(const std::vector<RoundTask>& tasks,
                         std::unordered_map<size_t, ChainAccelerator::AllowedCache>*
                             chain_caches,
                         size_t round, Sink* sink, EngineStats* stats,
-                        const ExecutionGuard* guard, bool dense_timeline,
-                        RoundArena* task_arenas) {
+                        const ExecutionGuard* guard) {
   if (tasks.empty()) return Status::Ok();
 
   std::vector<BufferedSink> sinks;
@@ -356,13 +290,6 @@ Status RunRoundParallel(const std::vector<RoundTask>& tasks,
   DMTL_RETURN_IF_ERROR(pool->ParallelFor(
       tasks.size(), [&](size_t ti) -> Status {
         const RoundTask& t = tasks[ti];
-        // Thread-locals do not follow work onto pool threads: re-arm the
-        // dense-timeline flag and the ambient arena per task. Arenas are
-        // per rule (each rule is at most one task per round), reused
-        // across rounds and reset by the caller after the barrier merge.
-        dense::DenseScope dense_scope(dense_timeline);
-        ArenaScope arena_scope(
-            task_arenas == nullptr ? nullptr : &task_arenas[t.rule_id]);
         BufferedSink& out = sinks[ti];
         const CompiledRule& c = compiled[t.rule_id];
         // Like the memo, the VM is owned exclusively by this rule's task
@@ -457,12 +384,6 @@ EngineOptions EngineOptions::WithEnvOverrides() const {
   if (std::getenv("DMTL_DISABLE_RULE_COMPILE") != nullptr) {
     out.enable_rule_compile = false;
   }
-  if (std::getenv("DMTL_DISABLE_DENSE_TIMELINE") != nullptr) {
-    out.enable_dense_timeline = false;
-  }
-  if (std::getenv("DMTL_DISABLE_ARENA_ALLOC") != nullptr) {
-    out.enable_arena_alloc = false;
-  }
   if (std::getenv("DMTL_DISABLE_STREAMING") != nullptr) {
     out.enable_streaming = false;
   }
@@ -547,13 +468,6 @@ std::string EngineStats::ToString() const {
   if (guard_checks > 0) {
     out += " guard_checks=" + std::to_string(guard_checks);
   }
-  out += std::string(" timeline=") + (timeline_dense ? "dense" : "rational");
-  if (arena_bytes_reserved + arena_heap_fallbacks > 0) {
-    out += " arena_reserved=" + std::to_string(arena_bytes_reserved) +
-           " arena_used=" + std::to_string(arena_bytes_allocated) +
-           " arena_allocs=" + std::to_string(arena_allocs) +
-           " arena_heap_fallbacks=" + std::to_string(arena_heap_fallbacks);
-  }
   if (stop_reason != StopReason::kCompleted) {
     out += " " + StopDiagnostics();
   }
@@ -564,10 +478,10 @@ namespace {
 
 // Everything a chase needs that depends only on the program and the
 // resolved options: the stratification, each rule's evaluator, VM and
-// operator memo, the worker pool, the round arenas, and the body-predicate
-// indexes the driver consults. Materialize builds one per call; an
-// IncrementalMaterializer keeps one for the session's lifetime, so compiled
-// VMs and memo entries carry across advances.
+// operator memo, the worker pool, and the body-predicate indexes the driver
+// consults. Materialize builds one per call; an IncrementalMaterializer
+// keeps one for the session's lifetime, so compiled VMs and memo entries
+// carry across advances.
 struct ChaseState {
   // Cumulative evaluator counters; a run's share is the difference between
   // snapshots taken around it.
@@ -594,9 +508,9 @@ struct ChaseState {
   //
   // A failed round is rolled back (the store returns to the last round
   // barrier) and its status returned; stats->stopped_* say where.
-  Status RunStrata(Database* db, const Interval& window, bool dense_timeline,
-                   Database* carry, const std::vector<char>* full_rules,
-                   EngineStats* stats, const ExecutionGuard* guard);
+  Status RunStrata(Database* db, const Interval& window, Database* carry,
+                   const std::vector<char>* full_rules, EngineStats* stats,
+                   const ExecutionGuard* guard);
 
   // Refreshes every memo entry keyed on a leaf that grew by `fresh`.
   void RefreshMemosWith(const Database& fresh, const Database& live);
@@ -616,11 +530,6 @@ struct ChaseState {
   std::vector<std::unique_ptr<OperatorMemo>> memos;  // empty: memos off
   std::optional<ThreadPool> pool;
   size_t num_threads = 1;
-  RoundArena main_arena;
-  // One arena per rule for parallel rounds: a rule is at most one task per
-  // round, so tasks never share an arena, and reuse across rounds keeps
-  // the chunks warm.
-  std::vector<RoundArena> task_arenas;
   size_t compiled_rules = 0;
   size_t vm_fallbacks = 0;
   std::vector<std::set<PredicateId>> positive_preds;      // per rule
@@ -628,9 +537,6 @@ struct ChaseState {
   // pred -> rules whose body references it; drives the memo refresh
   // fan-out (only such a rule can hold an entry for the pred's leaves).
   std::unordered_map<PredicateId, std::vector<size_t>> refresh_rules_by_pred;
-  // The dense timeline is enabled and the program and horizon bounds are
-  // all encodable; each run still checks its data and window.
-  bool dense_eligible = false;
 };
 
 Status ChaseState::Build(const Program& program,
@@ -721,34 +627,13 @@ Status ChaseState::Build(const Program& program,
       memos[i] = std::make_unique<OperatorMemo>();
     }
   }
-
-  // Memory architecture (docs/ENGINE.md): the dense integer-timeline
-  // kernels are selected per run when the whole run is provably integral,
-  // and round arenas take transient IntervalSet spills. Both are opt-out
-  // features with byte-identical output.
-  dense_eligible = options.enable_dense_timeline &&
-                   DenseTimeOk(options.min_time) &&
-                   DenseTimeOk(options.max_time) && DenseProgramOk(program);
-  if (options.enable_arena_alloc && pool.has_value()) {
-    task_arenas = std::vector<RoundArena>(compiled.size());
-  }
   return Status::Ok();
 }
 
 Status ChaseState::RunStrata(Database* db, const Interval& window,
-                             bool dense_timeline, Database* carry,
+                             Database* carry,
                              const std::vector<char>* full_rules,
-                             EngineStats* stats,
-                             const ExecutionGuard* guard) {
-  stats->timeline_dense = dense_timeline;
-  dense::DenseScope dense_scope(dense_timeline);
-  const bool arena_alloc = options.enable_arena_alloc;
-  ArenaScope arena_scope(arena_alloc ? &main_arena : nullptr);
-  auto reset_arenas = [&] {
-    if (!arena_alloc) return;
-    main_arena.Reset();
-    for (RoundArena& a : task_arenas) a.Reset();
-  };
+                             EngineStats* stats, const ExecutionGuard* guard) {
   auto is_full = [&](size_t id) {
     return full_rules != nullptr && (*full_rules)[id] != 0;
   };
@@ -834,8 +719,7 @@ Status ChaseState::RunStrata(Database* db, const Interval& window,
       if (use_pool) {
         return RunRoundParallel(
             tasks, compiled, vms, memos, *db, delta_db, window, options,
-            &*pool, &chain_caches, round, &sink, stats, guard,
-            dense_timeline, task_arenas.empty() ? nullptr : task_arenas.data());
+            &*pool, &chain_caches, round, &sink, stats, guard);
       }
       for (const RoundTask& t : tasks) {
         const CompiledRule& c = compiled[t.rule_id];
@@ -986,15 +870,11 @@ Status ChaseState::RunStrata(Database* db, const Interval& window,
       // Round barrier. Memo entries take the fresh coverage (after the
       // round's merges and before the delta swap, so they always equal the
       // operator applied to the round-start snapshot of each leaf); the
-      // carry collects it for later strata; everything transient from the
-      // finished round is dead (buffered sinks destroyed, VM slots
-      // released, stored state pinned to the heap), so the arenas rewind
-      // wholesale.
+      // carry collects it for later strata.
       RefreshMemosWith(next_delta, *db);
       if (carry != nullptr) carry->MergeFrom(next_delta);
       delta = std::move(next_delta);
       next_delta = Database();
-      reset_arenas();
       prov_mark = provenance != nullptr ? provenance->size() : 0;
       in_size = delta.NumIntervals();
       if (in_size == 0) break;
@@ -1129,14 +1009,10 @@ Status MaterializeImpl(const Program& program, Database* db,
   stats->num_strata = chase.strat.num_strata;
   stats->threads = chase.num_threads;
 
-  // The data half of the dense-timeline predicate; Build checked the
-  // program and the horizon.
-  const bool dense_timeline = chase.dense_eligible && DenseDatabaseOk(*db);
   const ChaseState::Counters base = chase.SnapshotCounters();
   const std::vector<char> all_rules(chase.compiled.size(), 1);
-  Status status =
-      chase.RunStrata(db, HorizonWindow(options), dense_timeline,
-                      /*carry=*/nullptr, &all_rules, stats, guard);
+  Status status = chase.RunStrata(db, HorizonWindow(options),
+                                  /*carry=*/nullptr, &all_rules, stats, guard);
 
   // Fold each rule's counters into the run stats (the pool has joined;
   // relaxed loads are fully ordered behind the round barriers).
@@ -1146,16 +1022,6 @@ Status MaterializeImpl(const Program& program, Database* db,
       stats->rule_plan_cost.push_back(
           ps->last_plan_cost.load(std::memory_order_relaxed));
     }
-  }
-  if (options.enable_arena_alloc) {
-    auto fold_arena = [&](const RoundArena& a) {
-      stats->arena_bytes_reserved += a.bytes_reserved();
-      stats->arena_bytes_allocated += a.bytes_allocated();
-      stats->arena_allocs += a.allocs();
-      stats->arena_heap_fallbacks += a.heap_fallbacks();
-    };
-    fold_arena(chase.main_arena);
-    for (const RoundArena& a : chase.task_arenas) fold_arena(a);
   }
   return status;
 }
@@ -1274,7 +1140,6 @@ class IncrementalMaterializer::Impl {
             "; push every fact at time t before advancing to t");
       }
     }
-    if (!DenseIntervalOk(fact.interval)) inputs_dense_ok_ = false;
     inputs_.push_back(fact);
     IntervalSet fresh =
         db_->InsertSet(fact.predicate, fact.args, IntervalSet(fact.interval));
@@ -1493,10 +1358,6 @@ class IncrementalMaterializer::Impl {
     inputs_ = std::move(log);
     watermark_ = watermark;
     advanced_any_ = advanced;
-    inputs_dense_ok_ = true;
-    for (const Fact& f : inputs_) {
-      if (!DenseIntervalOk(f.interval)) inputs_dense_ok_ = false;
-    }
     pending_fresh_ = Database();
     auto above = Interval::Make(Bound::Open(watermark_), Bound::Infinite());
     for (const Fact& f : inputs_) {
@@ -1573,10 +1434,8 @@ class IncrementalMaterializer::Impl {
   Status RunBand(const Interval& window, Database* carry,
                  const std::vector<char>* full_rules, EngineStats* stats,
                  const ExecutionGuard* guard) {
-    const bool dense_timeline = chase_.dense_eligible && inputs_dense_ok_ &&
-                                DenseIntervalOk(window);
-    Status status = chase_.RunStrata(db_, window, dense_timeline, carry,
-                                     full_rules, stats, guard);
+    Status status =
+        chase_.RunStrata(db_, window, carry, full_rules, stats, guard);
     if (!status.ok()) needs_rebuild_ = true;
     return status;
   }
@@ -1793,7 +1652,6 @@ class IncrementalMaterializer::Impl {
   bool band_cache_valid_ = false;
   bool advanced_any_ = false;
   bool needs_rebuild_ = false;
-  bool inputs_dense_ok_ = true;
   std::vector<DerivationRecord>* provenance_ = nullptr;
 };
 

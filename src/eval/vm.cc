@@ -236,10 +236,6 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
     }
   }
   out_.clear();
-  // The instruction slots are members reused across dispatches, but any
-  // arena-backed buffer in them dies at the next round barrier - drop those
-  // buffers now so a later dispatch never grows into reclaimed memory.
-  for (IntervalSet& slot : extents_) slot.ReleaseArenaStorage();
 
   if (PlannerStats* stats = RuleCompiler::MutableStats(eval_)) {
     stats->indexes_built.fetch_add(built, std::memory_order_relaxed);
@@ -562,9 +558,6 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
     for (size_t pos : cp.guard_projection) proj_key_.push_back(tuple[pos]);
     auto [it, inserted] = allowed_cache_.try_emplace(proj_key_);
     if (inserted) {
-      // The cache outlives the round barrier; keep it off the round arena
-      // (the pinned destination deep-copies the move below if needed).
-      it->second.MarkPersistent();
       ExtentSource source;
       source.full = &db;
       IntervalSet computed{window};

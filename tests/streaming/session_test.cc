@@ -365,11 +365,11 @@ TEST(StreamingSessionTest, EthPerpSessionStreamMatchesBatchReplay) {
 // streams, random horizons. Every K advances is a checkpoint compared
 // byte-for-byte against a cold replay; mid-stream slides exercise
 // retraction. The whole lane re-runs at each thread width, and under the
-// DMTL_DISABLE_RULE_COMPILE / DMTL_DISABLE_DENSE_TIMELINE /
-// DMTL_DISABLE_STREAMING environment lanes in CI.
+// DMTL_DISABLE_RULE_COMPILE / DMTL_DISABLE_STREAMING environment lanes in
+// CI.
 // ---------------------------------------------------------------------------
 
-// Same safe fragment the dense/parallel/differential suites fuzz -
+// Same safe fragment the parallel/differential suites fuzz -
 // stratified boxminus/diamondminus recursion with negated guards - which is
 // exactly the streaming-eligible fragment.
 class StreamFuzzer {

@@ -3,7 +3,10 @@
 // construction and merge paths (FromIntervals, Add, UnionWith,
 // UnionWithDelta) must produce exactly the coalesced set the per-interval
 // Insert reference builds, and the deltas they report must equal the union
-// of the per-interval Insert deltas. The streams deliberately straddle the
+// of the per-interval Insert deltas. The set-vs-set Intersect and the four
+// metric transforms are checked the same way against per-component
+// references, over windows that are punctual, open, closed or
+// half-infinite. The streams deliberately straddle the
 // inline capacity of SmallIntervalVec (2 intervals) so both the inline
 // representation and the heap spill are exercised, including copies, moves,
 // and equality across representations.
@@ -11,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "src/temporal/interval_set.h"
@@ -47,6 +51,25 @@ class IntervalFuzzer {
   }
 
   size_t PickSize(size_t max) { return Pick(static_cast<int>(max) + 1); }
+
+  // A metric-operator window rho: non-negative, on the half grid.
+  Interval Window() {
+    const Rational lo(Pick(9), 2);
+    switch (Pick(5)) {
+      case 0:
+        return Interval::AtLeast(lo);
+      case 1:
+        return Interval::Point(lo);
+      case 2:
+        return *Interval::Make(Bound::Open(lo), Bound::Infinite());
+      default: {
+        const Rational hi = lo + Rational(Pick(7), 2);
+        Bound blo = Pick(2) == 0 ? Bound::Closed(lo) : Bound::Open(lo);
+        Bound bhi = Pick(2) == 0 ? Bound::Closed(hi) : Bound::Open(hi);
+        return Interval::Make(blo, bhi).value_or(Interval::Point(lo));
+      }
+    }
+  }
 
  private:
   int Pick(int n) { return static_cast<int>(rng_() % n); }
@@ -140,6 +163,52 @@ TEST_P(BulkKernelFuzzTest, IntersectIntervalMatchesSetIntersect) {
     Interval clip = fuzz.Next();
     EXPECT_EQ(a.Intersect(clip), a.Intersect(IntervalSet(clip)))
         << "a=" << a.ToString() << " clip=" << clip.ToString();
+  }
+}
+
+// Set intersection distributes over components: the sweep and the
+// galloping probe must both build exactly the union of the pairwise
+// component intersections.
+TEST_P(BulkKernelFuzzTest, IntersectMatchesPairwiseReference) {
+  IntervalFuzzer fuzz(GetParam());
+  for (int round = 0; round < 40; ++round) {
+    IntervalSet a = InsertReference(fuzz.Stream(fuzz.PickSize(10)));
+    IntervalSet b = InsertReference(fuzz.Stream(fuzz.PickSize(10)));
+    IntervalSet reference;
+    for (const Interval& x : a) {
+      for (const Interval& y : b) {
+        if (auto both = x.Intersect(y); both.has_value()) {
+          reference.Insert(*both);
+        }
+      }
+    }
+    EXPECT_EQ(a.Intersect(b), reference)
+        << "a=" << a.ToString() << " b=" << b.ToString();
+    EXPECT_EQ(b.Intersect(a), reference);
+  }
+}
+
+// The metric transforms act component by component: a dilation is the
+// union of the dilated components, and an erosion keeps each component's
+// surviving core (components are separated by true gaps, so no window fits
+// across one). Both must come out normalized.
+TEST_P(BulkKernelFuzzTest, MetricTransformsMatchPerComponentReference) {
+  IntervalFuzzer fuzz(GetParam());
+  for (int round = 0; round < 40; ++round) {
+    IntervalSet a = InsertReference(fuzz.Stream(fuzz.PickSize(10)));
+    const Interval rho = fuzz.Window();
+    IntervalSet diamond_minus, diamond_plus, box_minus, box_plus;
+    for (const Interval& iv : a) {
+      diamond_minus.Insert(iv.DiamondMinus(rho));
+      diamond_plus.Insert(iv.DiamondPlus(rho));
+      if (auto x = iv.BoxMinus(rho); x.has_value()) box_minus.Insert(*x);
+      if (auto x = iv.BoxPlus(rho); x.has_value()) box_plus.Insert(*x);
+    }
+    const std::string where = "a=" + a.ToString() + " rho=" + rho.ToString();
+    EXPECT_EQ(a.DiamondMinus(rho), diamond_minus) << where;
+    EXPECT_EQ(a.DiamondPlus(rho), diamond_plus) << where;
+    EXPECT_EQ(a.BoxMinus(rho), box_minus) << where;
+    EXPECT_EQ(a.BoxPlus(rho), box_plus) << where;
   }
 }
 
