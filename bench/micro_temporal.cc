@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/temporal/interval_set.h"
@@ -80,6 +81,28 @@ void BM_DiamondMinusTransform(benchmark::State& state) {
 }
 BENCHMARK(BM_DiamondMinusTransform)->Arg(1024)->Arg(8192);
 
+// The other two transforms under the paper's [1,1] window, over the same
+// per-tick chain: a closed-point window makes every transform a shift.
+void BM_BoxMinusPointWindow(benchmark::State& state) {
+  IntervalSet set = TickChain(static_cast<int>(state.range(0)));
+  Interval rho = Interval::Point(Rational(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(set.BoxMinus(rho));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BoxMinusPointWindow)->Arg(1024)->Arg(8192);
+
+void BM_DiamondPlusPointWindow(benchmark::State& state) {
+  IntervalSet set = TickChain(static_cast<int>(state.range(0)));
+  Interval rho = Interval::Point(Rational(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(set.DiamondPlus(rho));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DiamondPlusPointWindow)->Arg(1024)->Arg(8192);
+
 void BM_BoxMinusTransform(benchmark::State& state) {
   // Wide components erode; per-tick chains mostly vanish.
   IntervalSet set;
@@ -148,6 +171,23 @@ void BM_IntervalSetBulkInsertReference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_IntervalSetBulkInsertReference)->Arg(128)->Arg(1024)->Arg(8192);
+
+// One chain-walk batch: 2048 grid points, the cap of a single grid run.
+// Arg 0 lists them ascending (a forward walk), arg 1 descending (a backward
+// walk's emission order before the walker reverses it).
+void BM_FromIntervalsGridBatch(benchmark::State& state) {
+  std::vector<Interval> batch;
+  batch.reserve(2048);
+  for (int i = 0; i < 2048; ++i) {
+    batch.push_back(Interval::Point(Rational(1'700'000'000 + i)));
+  }
+  if (state.range(0) == 1) std::reverse(batch.begin(), batch.end());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(IntervalSet::FromIntervals(batch));
+  }
+  state.SetItemsProcessed(state.iterations() * 2048);
+}
+BENCHMARK(BM_FromIntervalsGridBatch)->Arg(0)->Arg(1);
 
 // Bulk merge-union of two offset tick chains: the single two-pointer sweep
 // UnionWith runs versus inserting the other set's components one by one.

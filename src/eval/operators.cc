@@ -113,8 +113,11 @@ IntervalSet EvalRec(const MetricAtom& atom, const Bindings& binding,
 
 IntervalSet ApplyOpPath(const std::vector<OpPathStep>& path,
                         const IntervalSet& leaf) {
-  IntervalSet extent = leaf;
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
+  if (path.empty()) return leaf;
+  // The innermost step reads the leaf in place; only its output is owned.
+  auto it = path.rbegin();
+  IntervalSet extent = ApplyUnaryOp(it->op, it->range, leaf);
+  for (++it; it != path.rend(); ++it) {
     extent = ApplyUnaryOp(it->op, it->range, extent);
   }
   return extent;

@@ -205,8 +205,12 @@ struct EngineStats {
   size_t planner_probe_hits = 0;     // lookups that found a posting list
   size_t planner_pruned_tuples = 0;  // candidates skipped by envelope/hull
   // Memo-literal set intersections (row extent ∩ memoized operator-path
-  // output) and the interval components they carried - a per-candidate
-  // cost of compiled rules; the number the streaming mode exists to shrink.
+  // output), and the sum of both operands' component counts over those
+  // intersections. The sum measures the volume the join pairs up, not the
+  // kernel's work: the small-vs-large Intersect gallops in
+  // O(|row| log |memo|), so a 22-component row against a 3.5k-component
+  // memo touches a few hundred components, not 3.5k. A per-candidate cost
+  // of compiled rules; the number the streaming mode exists to shrink.
   size_t memo_intersections = 0;
   size_t memo_intersect_components = 0;
   // Estimated cost of each rule's most recent plan, indexed like

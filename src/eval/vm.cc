@@ -409,14 +409,18 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
       } else {
         // Windowed chain evaluation, replicating the interpreter (and
         // EvalRec): child windows root-to-leaf, operators leaf-to-root.
+        if (leaf->IsEmpty()) return Status::Ok();
         IntervalSet window = cur;
         for (const OpPathStep& s : lc.path) {
           window = ChildWindow(s.op, s.range, window);
         }
-        IntervalSet extent = leaf->Intersect(window);
-        for (auto it = lc.path.rbegin(); it != lc.path.rend(); ++it) {
-          extent = ApplyUnaryOp(it->op, it->range, extent);
-        }
+        // A window covering the whole leaf (every first-literal probe runs
+        // under the All extent) clips nothing: transform the stored leaf
+        // directly instead of copying it through the intersection.
+        IntervalSet extent =
+            window.size() == 1 && window.begin()->Contains(leaf->Hull())
+                ? ApplyOpPath(lc.path, *leaf)
+                : ApplyOpPath(lc.path, leaf->Intersect(window));
         if (extent.IsEmpty()) return Status::Ok();
         if (cur.size() == 1 && cur.begin()->Contains(extent.Hull())) {
           slot = std::move(extent);
@@ -579,6 +583,10 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
     const Interval* comps = seed_set.begin();
     const size_t num_seeds = seed_set.size();
     const bool fwd = !cp.step.is_negative();
+    // Seeds ascend, and so do their grid successors in either walk
+    // direction: the shortcut's membership tests below share one cursor
+    // that only moves forward over `allowed`.
+    const Interval* cursor = allowed.begin();
     for (size_t si = 0; si < num_seeds; ++si) {
       const Interval& seed = comps[si];
       if (seed.IsPunctual()) {
@@ -597,10 +605,15 @@ Status RuleVm::ExtendChain(const Database& db, const Database& delta,
         } else if (si > 0 && comps[si - 1].IsPunctual()) {
           adj = &comps[si - 1];
         }
-        if (adj != nullptr && adj->lo().value == next &&
-            allowed.Contains(next)) {
-          *extensions += 1;
-          continue;
+        if (adj != nullptr && adj->lo().value == next) {
+          while (cursor != allowed.end() &&
+                 UpperEndsBefore(cursor->hi(), next)) {
+            ++cursor;
+          }
+          if (cursor != allowed.end() && cursor->Contains(next)) {
+            *extensions += 1;
+            continue;
+          }
         }
         DMTL_RETURN_IF_ERROR(WalkGrid(tuple, seed.lo().value, allowed, emit,
                                       coverage, guard, extensions));
@@ -661,6 +674,9 @@ Status RuleVm::WalkGrid(const Tuple& tuple, const Rational& seed,
       batch_.push_back(Interval::Point(p));
       p = p + step;
     }
+    // A backward walk lists its points descending; reversed, every batch
+    // arrives ascending and FromIntervals builds it without sorting.
+    if (step.is_negative()) std::reverse(batch_.begin(), batch_.end());
     DMTL_RETURN_IF_ERROR(emit(tuple, IntervalSet::FromIntervals(batch_)));
     *extensions += static_cast<size_t>(m);
     if (n.has_value()) {

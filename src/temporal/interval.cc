@@ -61,14 +61,6 @@ std::optional<Rational> Interval::Length() const {
   return hi_.value - lo_.value;
 }
 
-Interval Interval::Shift(const Rational& delta) const {
-  Bound lo = lo_;
-  Bound hi = hi_;
-  if (!lo.infinite) lo.value = lo.value + delta;
-  if (!hi.infinite) hi.value = hi.value + delta;
-  return Interval(lo, hi);
-}
-
 Interval Interval::DiamondMinus(const Interval& rho) const {
   // t in I (+) rho.
   Bound lo = lo_.infinite ? Bound::Infinite() : AddBounds(lo_, rho.lo());

@@ -84,8 +84,13 @@ class Interval {
   // Union of two Unionable() intervals.
   Interval UnionWith(const Interval& other) const;
 
-  // The interval translated by delta.
+  // The interval translated by delta. A translation keeps every gap, so a
+  // normalized set shifted component by component stays normalized.
   Interval Shift(const Rational& delta) const;
+  // Shift in place: the bounds are updated where they live, with no
+  // temporary Interval (a returned copy written back over its source costs
+  // a store-forwarding stall per bound in tight loops).
+  void ShiftInPlace(const Rational& delta);
 
   // --- MTL operator transforms -------------------------------------------
   // Given that an atom M holds exactly throughout this interval, these
@@ -230,6 +235,17 @@ inline Interval Interval::Hull(const Interval& other) const {
 
 inline Interval Interval::UnionWith(const Interval& other) const {
   return Hull(other);  // no gap by precondition, so the hull is the union
+}
+
+inline void Interval::ShiftInPlace(const Rational& delta) {
+  if (!lo_.infinite) lo_.value += delta;
+  if (!hi_.infinite) hi_.value += delta;
+}
+
+inline Interval Interval::Shift(const Rational& delta) const {
+  Interval out = *this;
+  out.ShiftInPlace(delta);
+  return out;
 }
 
 inline bool Interval::IsPunctual() const {

@@ -53,12 +53,20 @@ IntervalSet IntervalSet::FromIntervals(const std::vector<Interval>& ivs) {
     for (const Interval& iv : ivs) out.Add(iv);
     return out;
   }
-  std::vector<Interval> sorted = ivs;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Interval& a, const Interval& b) {
-              return a.StartsBefore(b);
-            });
-  for (const Interval& iv : sorted) AppendCoalesce(&out.intervals_, iv);
+  // Chain walks hand over their grid batches ascending: sort only when the
+  // input is out of order.
+  auto starts_before = [](const Interval& a, const Interval& b) {
+    return a.StartsBefore(b);
+  };
+  const std::vector<Interval>* in = &ivs;
+  std::vector<Interval> sorted;
+  if (!std::is_sorted(ivs.begin(), ivs.end(), starts_before)) {
+    sorted = ivs;
+    std::sort(sorted.begin(), sorted.end(), starts_before);
+    in = &sorted;
+  }
+  out.intervals_.reserve(in->size());
+  for (const Interval& iv : *in) AppendCoalesce(&out.intervals_, iv);
   return out;
 }
 
@@ -76,18 +84,13 @@ bool IntervalSet::Contains(const Rational& t) const {
 }
 
 bool IntervalSet::Contains(const Interval& iv) const {
-  // Must fit inside a single component (components have true gaps).
-  for (const Interval& x : intervals_) {
-    if (x.Contains(iv)) return true;
-  }
-  return false;
-}
-
-bool IntervalSet::ContainsSet(const IntervalSet& other) const {
-  for (const Interval& iv : other.intervals_) {
-    if (!Contains(iv)) return false;
-  }
-  return true;
+  // Must fit inside a single component (components have true gaps), and
+  // the only candidate is the first component not strictly before iv: any
+  // earlier one is separated from the container, hence from iv, by a gap.
+  auto it = std::partition_point(
+      intervals_.begin(), intervals_.end(),
+      [&](const Interval& x) { return x.StrictlyBefore(iv); });
+  return it != intervals_.end() && it->Contains(iv);
 }
 
 IntervalSet IntervalSet::Insert(const Interval& iv) {
@@ -418,15 +421,16 @@ IntervalSet IntervalSet::Complement() const {
 }
 
 IntervalSet IntervalSet::Shift(const Rational& delta) const {
-  IntervalSet out;
-  out.intervals_.reserve(intervals_.size());
-  for (const Interval& iv : intervals_) {
-    out.intervals_.push_back(iv.Shift(delta));
-  }
+  IntervalSet out = *this;
+  if (delta.is_zero()) return out;
+  for (Interval& iv : out.intervals_) iv.ShiftInPlace(delta);
   return out;
 }
 
+// A punctual window is the closed point [a,a] (Interval admits no other
+// single-point shape), under which all four transforms are translations.
 IntervalSet IntervalSet::DiamondMinus(const Interval& rho) const {
+  if (rho.IsPunctual()) return Shift(rho.lo().value);
   IntervalSet out;
   // Dilation preserves component order but may bridge gaps, so append with
   // back-coalescing instead of a full Insert per component.
@@ -438,6 +442,7 @@ IntervalSet IntervalSet::DiamondMinus(const Interval& rho) const {
 }
 
 IntervalSet IntervalSet::BoxMinus(const Interval& rho) const {
+  if (rho.IsPunctual()) return Shift(rho.lo().value);
   IntervalSet out;
   // Erosion shrinks every component in place, so existing gaps only widen:
   // survivors append directly.
@@ -451,6 +456,7 @@ IntervalSet IntervalSet::BoxMinus(const Interval& rho) const {
 }
 
 IntervalSet IntervalSet::DiamondPlus(const Interval& rho) const {
+  if (rho.IsPunctual()) return Shift(-rho.lo().value);
   IntervalSet out;
   out.intervals_.reserve(intervals_.size());
   for (const Interval& iv : intervals_) {
@@ -460,6 +466,7 @@ IntervalSet IntervalSet::DiamondPlus(const Interval& rho) const {
 }
 
 IntervalSet IntervalSet::BoxPlus(const Interval& rho) const {
+  if (rho.IsPunctual()) return Shift(-rho.lo().value);
   IntervalSet out;
   out.intervals_.reserve(intervals_.size());
   for (const Interval& iv : intervals_) {

@@ -29,7 +29,8 @@ class IntervalSet {
   explicit IntervalSet(const Interval& iv) { intervals_.push_back(iv); }
 
   // Builds a normalized set from arbitrary (unsorted, overlapping) input in
-  // a single sort + coalescing sweep.
+  // a single sort + coalescing sweep; input already ascending by lower bound
+  // (a forward grid batch) skips the sort.
   static IntervalSet FromIntervals(const std::vector<Interval>& ivs);
 
   bool IsEmpty() const { return intervals_.empty(); }
@@ -38,7 +39,6 @@ class IntervalSet {
 
   bool Contains(const Rational& t) const;
   bool Contains(const Interval& iv) const;
-  bool ContainsSet(const IntervalSet& other) const;
 
   // Adds `iv` and returns the portion of `iv` that was not already covered
   // (the semi-naive delta of this insertion; empty when `iv` was already
@@ -63,11 +63,15 @@ class IntervalSet {
   // All time points NOT in this set.
   IntervalSet Complement() const;
 
+  // The set translated by delta: one copy, bounds moved in place.
   IntervalSet Shift(const Rational& delta) const;
 
   // --- MTL operator transforms on the full extent of an atom --------------
   // These are exact under normalization: a box/since window is an interval
-  // and therefore must fit inside a single maximal component.
+  // and therefore must fit inside a single maximal component. A closed-point
+  // window [a,a] makes each of them a translation (diamond/box minus by +a,
+  // plus by -a), which takes the Shift path: no per-component transform,
+  // emptiness check or coalescing.
   IntervalSet DiamondMinus(const Interval& rho) const;
   IntervalSet BoxMinus(const Interval& rho) const;
   IntervalSet DiamondPlus(const Interval& rho) const;

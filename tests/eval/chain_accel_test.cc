@@ -159,13 +159,14 @@ struct GridRun {
 };
 
 GridRun RunGuardedChain(const std::string& text, int64_t max_time,
-                        bool accel) {
+                        bool accel, bool compile = true) {
   auto unit = Parser::Parse(text);
   EXPECT_TRUE(unit.ok()) << unit.status();
   EngineOptions options;
   options.min_time = Rational(0);
   options.max_time = Rational(max_time);
   options.enable_chain_acceleration = accel;
+  options.enable_rule_compile = compile;
   Database db = unit->database;
   EngineStats stats;
   Status status = Materialize(unit->program, &db, options, &stats);
@@ -222,6 +223,54 @@ TEST(ChainAccelTest, PunctualGuardGridBackwardWalk) {
   // from 90 down to the blocker at 30.
   ExpectGridMatchesUnaccelerated("gs(x)@100 . seed(x)@90 . halt(x)@30 .", 100,
                                  314, /*future=*/true);
+}
+
+// Long punctual seed runs over a multi-component allowed set. The seed s
+// is itself a chain, finished in a lower stratum (the never-true sdone
+// lifts p above it), so p's first delta is a run of 3000 grid-consecutive
+// points: the compiled kernel answers "is the next point allowed?" for the
+// run's interior with one cursor over the allowed components, and the run
+// crosses holes (701-702 and 1801 forward) where that answer is no. From
+// the run's end p walks 2600 points - more than one 2048-point batch -
+// across three allowed components to the blocker. The batched VM walk and
+// the point-by-point ChainAccelerator (rule compilation off) must derive
+// the same database and count the same extensions, and both must match the
+// unaccelerated chase.
+void ExpectSeedRunWalkMatches(const std::string& op, const std::string& facts,
+                              size_t extensions) {
+  const std::string text =
+      "s(A) :- ss(A) .\n"
+      "s(A) :- " + op + " s(A), not sstop(A) .\n"
+      "sdone(A) :- s(A), sstop(A) .\n"
+      "p(A) :- s(A), not sdone(A) .\n"
+      "p(A) :- " + op + " p(A), g(A), not stop(A) .\n" + facts;
+  GridRun vm = RunGuardedChain(text, 6000, true);
+  GridRun walker = RunGuardedChain(text, 6000, true, /*compile=*/false);
+  GridRun off = RunGuardedChain(text, 6000, false);
+  EXPECT_EQ(vm.db, walker.db);
+  EXPECT_EQ(vm.db, off.db);
+  EXPECT_EQ(vm.chain_extensions, walker.chain_extensions);
+  EXPECT_EQ(vm.chain_extensions, extensions);
+}
+
+TEST(ChainAccelTest, SeedRunStraddlesAllowedComponentsForward) {
+  ExpectSeedRunWalkMatches(
+      "boxminus[1,1]",
+      "ss(x)@0 . sstop(x)@3000 . stop(x)@5600 .\n"
+      "g(x)@[0,700] . g(x)@[703,1500] . g(x)@[1500.5,1800] .\n"
+      "g(x)@(1801,3500] . g(x)@[3500.5,4200] . g(x)@[4200.5,6000] .",
+      14190);
+}
+
+TEST(ChainAccelTest, SeedRunStraddlesAllowedComponentsBackward) {
+  // The forward case mirrored by t -> 6000 - t: a boxplus chain walks
+  // toward the window start, and each batch is built from a descending run.
+  ExpectSeedRunWalkMatches(
+      "boxplus[1,1]",
+      "ss(x)@6000 . sstop(x)@3000 . stop(x)@400 .\n"
+      "g(x)@[5300,6000] . g(x)@[4500,5297] . g(x)@[4200,4499.5] .\n"
+      "g(x)@[2500,4199) . g(x)@[1800,2499.5] . g(x)@[0,1799.5] .",
+      14190);
 }
 
 }  // namespace

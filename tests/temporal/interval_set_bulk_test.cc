@@ -6,13 +6,16 @@
 // of the per-interval Insert deltas. The set-vs-set Intersect and the four
 // metric transforms are checked the same way against per-component
 // references, over windows that are punctual, open, closed or
-// half-infinite. The streams deliberately straddle the
+// half-infinite; closed-point windows [a,a] (the translation path) get their
+// own cases. Grid batches must build the same set whatever order they arrive
+// in. The streams deliberately straddle the
 // inline capacity of SmallIntervalVec (2 intervals) so both the inline
 // representation and the heap spill are exercised, including copies, moves,
 // and equality across representations.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -96,6 +99,13 @@ TEST_P(BulkKernelFuzzTest, FromIntervalsMatchesInsertReference) {
     EXPECT_EQ(bulk, reference)
         << "bulk=" << bulk.ToString() << " ref=" << reference.ToString();
     EXPECT_EQ(bulk.ToString(), reference.ToString());
+    // Ascending input (overlaps and touches included) takes the no-sort
+    // coalescing sweep.
+    std::sort(stream.begin(), stream.end(),
+              [](const Interval& x, const Interval& y) {
+                return x.StartsBefore(y);
+              });
+    EXPECT_EQ(IntervalSet::FromIntervals(stream), reference);
   }
 }
 
@@ -192,28 +202,105 @@ TEST_P(BulkKernelFuzzTest, IntersectMatchesPairwiseReference) {
 // union of the dilated components, and an erosion keeps each component's
 // surviving core (components are separated by true gaps, so no window fits
 // across one). Both must come out normalized.
+void ExpectTransformsMatchPerComponentReference(const IntervalSet& a,
+                                                const Interval& rho) {
+  IntervalSet diamond_minus, diamond_plus, box_minus, box_plus;
+  for (const Interval& iv : a) {
+    diamond_minus.Insert(iv.DiamondMinus(rho));
+    diamond_plus.Insert(iv.DiamondPlus(rho));
+    if (auto x = iv.BoxMinus(rho); x.has_value()) box_minus.Insert(*x);
+    if (auto x = iv.BoxPlus(rho); x.has_value()) box_plus.Insert(*x);
+  }
+  const std::string where = "a=" + a.ToString() + " rho=" + rho.ToString();
+  EXPECT_EQ(a.DiamondMinus(rho), diamond_minus) << where;
+  EXPECT_EQ(a.DiamondPlus(rho), diamond_plus) << where;
+  EXPECT_EQ(a.BoxMinus(rho), box_minus) << where;
+  EXPECT_EQ(a.BoxPlus(rho), box_plus) << where;
+}
+
 TEST_P(BulkKernelFuzzTest, MetricTransformsMatchPerComponentReference) {
   IntervalFuzzer fuzz(GetParam());
   for (int round = 0; round < 40; ++round) {
     IntervalSet a = InsertReference(fuzz.Stream(fuzz.PickSize(10)));
-    const Interval rho = fuzz.Window();
-    IntervalSet diamond_minus, diamond_plus, box_minus, box_plus;
-    for (const Interval& iv : a) {
-      diamond_minus.Insert(iv.DiamondMinus(rho));
-      diamond_plus.Insert(iv.DiamondPlus(rho));
-      if (auto x = iv.BoxMinus(rho); x.has_value()) box_minus.Insert(*x);
-      if (auto x = iv.BoxPlus(rho); x.has_value()) box_plus.Insert(*x);
+    ExpectTransformsMatchPerComponentReference(a, fuzz.Window());
+  }
+}
+
+// A closed-point window [a,a] turns all four transforms into translations
+// (IntervalSet::Shift). The translation must still equal the per-component
+// transforms, over sets holding open, half-infinite, fractional and
+// negative components.
+TEST_P(BulkKernelFuzzTest, ClosedPointWindowsMatchPerComponentReference) {
+  const Rational offsets[] = {Rational(0), Rational(1, 2), Rational(1),
+                              Rational(7)};
+  IntervalSet fixed = InsertReference({
+      Interval::AtMost(Rational(-9)),
+      *Interval::Make(Bound::Open(Rational(-7, 2)), Bound::Open(Rational(-2))),
+      Interval::Point(Rational(-1, 2)),
+      Interval::ClosedOpen(Rational(1, 3), Rational(2)),
+      *Interval::Make(Bound::Open(Rational(2)), Bound::Closed(Rational(5, 2))),
+      Interval::Point(Rational(4)),
+      *Interval::Make(Bound::Open(Rational(11, 2)), Bound::Infinite()),
+  });
+  ASSERT_EQ(fixed.size(), 7u);
+  IntervalFuzzer fuzz(GetParam());
+  for (const Rational& a : offsets) {
+    const Interval rho = Interval::Point(a);
+    ExpectTransformsMatchPerComponentReference(fixed, rho);
+    ExpectTransformsMatchPerComponentReference(IntervalSet(), rho);
+    for (int round = 0; round < 20; ++round) {
+      ExpectTransformsMatchPerComponentReference(
+          InsertReference(fuzz.Stream(fuzz.PickSize(12))), rho);
     }
-    const std::string where = "a=" + a.ToString() + " rho=" + rho.ToString();
-    EXPECT_EQ(a.DiamondMinus(rho), diamond_minus) << where;
-    EXPECT_EQ(a.DiamondPlus(rho), diamond_plus) << where;
-    EXPECT_EQ(a.BoxMinus(rho), box_minus) << where;
-    EXPECT_EQ(a.BoxPlus(rho), box_plus) << where;
+  }
+}
+
+// Contains(Interval) binary-searches for the one component that could hold
+// the interval; it must agree with a scan over every component.
+TEST_P(BulkKernelFuzzTest, ContainsIntervalMatchesComponentScan) {
+  IntervalFuzzer fuzz(GetParam());
+  for (int round = 0; round < 40; ++round) {
+    IntervalSet a = InsertReference(fuzz.Stream(fuzz.PickSize(12)));
+    for (int probe = 0; probe < 10; ++probe) {
+      // Probe with the set's own components too, so true answers occur.
+      const Interval iv = probe < 3 && !a.IsEmpty()
+                              ? a.intervals()[probe % a.size()]
+                              : fuzz.Next();
+      const bool scan = std::any_of(a.begin(), a.end(), [&](const Interval& x) {
+        return x.Contains(iv);
+      });
+      EXPECT_EQ(a.Contains(iv), scan)
+          << "a=" << a.ToString() << " iv=" << iv.ToString();
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BulkKernelFuzzTest,
                          ::testing::Range<uint64_t>(1, 9));
+
+// A chain walk emits grid batches of up to 2048 points: ascending on
+// forward walks, reversed into ascending order on backward ones. The
+// ascending input skips the sort; every order must build the same set.
+// 2048 points also keeps the batch far past the small-input insertion path.
+TEST(GridBatchTest, FromIntervalsIgnoresInputOrder) {
+  for (const Rational& step : {Rational(1), Rational(1, 2)}) {
+    std::vector<Interval> ascending;
+    Rational t(-1000);
+    for (int i = 0; i < 2048; ++i) {
+      ascending.push_back(Interval::Point(t));
+      t = t + step;
+    }
+    std::vector<Interval> descending(ascending.rbegin(), ascending.rend());
+    std::vector<Interval> shuffled = ascending;
+    std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(7919));
+
+    const IntervalSet reference = InsertReference(shuffled);
+    ASSERT_EQ(reference.size(), 2048u);
+    EXPECT_EQ(IntervalSet::FromIntervals(ascending), reference);
+    EXPECT_EQ(IntervalSet::FromIntervals(descending), reference);
+    EXPECT_EQ(IntervalSet::FromIntervals(shuffled), reference);
+  }
+}
 
 // --- Small-buffer representation ------------------------------------------
 // Sets of up to two intervals live inline; the third insertion spills to the
