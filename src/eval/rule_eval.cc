@@ -15,14 +15,6 @@ namespace dmtl {
 
 namespace {
 
-constexpr size_t kMinTuplesForIndex = 8;
-
-// Candidate tuples between guard checks inside join enumeration. Cheap
-// enough that one huge join observes a deadline within milliseconds, rare
-// enough to be invisible in profiles (the check is an atomic load + clock
-// read once per 4096 candidates).
-constexpr uint64_t kGuardStrideMask = 4095;
-
 // Enumerates the groundings of the relational atoms of one positive
 // literal, extending `row.binding`. Extents are intersected afterwards via
 // EvalMetricExtent (which sees the same delta restriction). This is the
@@ -281,6 +273,37 @@ Interval RuleEvaluator::ExpandPruneWindow(Interval window,
   return window;
 }
 
+// The forward dual of ExpandPruneWindow: carries a hull of atom time
+// points out through the operator path (leaf to root) to a superset of the
+// points where the literal can hold. Box operators hold only where their
+// diamond twins do, and since/until only within rho.hi of their RHS.
+Interval RuleEvaluator::CarryBand(Interval hull,
+                                  const std::vector<PathStep>& path) {
+  for (auto it = path.rbegin(); it != path.rend(); ++it) {
+    switch (it->op) {
+      case MtlOp::kDiamondMinus:
+      case MtlOp::kBoxMinus:
+        hull = hull.DiamondMinus(it->range);
+        break;
+      case MtlOp::kDiamondPlus:
+      case MtlOp::kBoxPlus:
+        hull = hull.DiamondPlus(it->range);
+        break;
+      case MtlOp::kSince: {
+        auto span = Interval::Make(Bound::Closed(Rational(0)), it->range.hi());
+        if (span.has_value()) hull = hull.DiamondMinus(*span);
+        break;
+      }
+      case MtlOp::kUntil: {
+        auto span = Interval::Make(Bound::Closed(Rational(0)), it->range.hi());
+        if (span.has_value()) hull = hull.DiamondPlus(*span);
+        break;
+      }
+    }
+  }
+  return hull;
+}
+
 RuleEvaluator::ExecutionPlan RuleEvaluator::BuildPlan(
     const Database& db, const Database* delta, int delta_occurrence,
     PlannerStats* stats) const {
@@ -290,8 +313,12 @@ RuleEvaluator::ExecutionPlan RuleEvaluator::BuildPlan(
   struct LitInfo {
     std::vector<const RelationalAtom*> atoms;
     int delta_offset = -1;
+    std::vector<size_t> reachable;  // per atom; see below
   };
   std::vector<LitInfo> info(n);
+  // The semi-naive delta literal, pinned first: the delta is small by
+  // construction and every pass must visit it anyway.
+  int pinned = -1;
   for (size_t p = 0; p < n; ++p) {
     rule_.body[positive_literals_[p]].metric.CollectRelationalAtoms(
         &info[p].atoms);
@@ -299,6 +326,7 @@ RuleEvaluator::ExecutionPlan RuleEvaluator::BuildPlan(
       int rel = delta_occurrence - occurrence_start_[p];
       if (rel >= 0 && rel < static_cast<int>(info[p].atoms.size())) {
         info[p].delta_offset = rel;
+        pinned = static_cast<int>(p);
       }
     }
   }
@@ -322,12 +350,58 @@ RuleEvaluator::ExecutionPlan RuleEvaluator::BuildPlan(
     return source->Find(li.atoms[a]->predicate);
   };
 
+  // Delta band: a superset of the time points where the pinned literal can
+  // hold - the hull of its delta atom's stored extents, carried out through
+  // the atom's operator path. Every row leaving the pinned literal has its
+  // extent inside the band, so a later prunable atom can only match the
+  // stored tuples whose hull overlaps ExpandPruneWindow(band, path): the
+  // very test enumeration uses to skip the others. Unbounded when nothing
+  // is pinned or the delta atom is not prunable (an empty since/until LHS
+  // does not bound the literal).
+  std::optional<Interval> band;
+  if (pinned >= 0) {
+    const LitInfo& li = info[pinned];
+    const AtomPlan& ap = literal_plans_[pinned].atoms[li.delta_offset];
+    const Relation* rel = source_rel(li, li.delta_offset);
+    if (ap.prunable && rel != nullptr && !rel->IsEmpty()) {
+      Interval hull = rel->Rows().front().extent->Hull();
+      for (const Relation::ScanEntry& row : rel->Rows()) {
+        hull = hull.Hull(row.extent->Hull());
+      }
+      band = CarryBand(hull, ap.path);
+      if (band->lo_infinite() && band->hi_infinite()) band.reset();
+    }
+  }
+
+  // Tuples each atom can enumerate, counted once per plan (the band does
+  // not depend on which variables are bound): the band-reachable rows of a
+  // prunable atom outside the pinned literal, else the relation size.
+  // Absent relations charge nothing (see literal_cost).
+  for (size_t p = 0; p < n; ++p) {
+    std::vector<size_t>& reachable = info[p].reachable;
+    reachable.assign(info[p].atoms.size(), 0);
+    for (size_t a = 0; a < info[p].atoms.size(); ++a) {
+      const Relation* rel = source_rel(info[p], a);
+      if (rel == nullptr) continue;
+      const AtomPlan& ap = literal_plans_[p].atoms[a];
+      if (!band.has_value() || static_cast<int>(p) == pinned ||
+          !ap.prunable) {
+        reachable[a] = rel->NumTuples();
+        continue;
+      }
+      const Interval window = ExpandPruneWindow(*band, ap.path);
+      for (const Relation::ScanEntry& row : rel->Rows()) {
+        if (row.extent->Hull().Overlaps(window)) ++reachable[a];
+      }
+    }
+  }
+
   // Estimated enumeration cost of one literal given the currently bound
-  // variables: per atom, the relation's tuple count shrunk 4x per bound
+  // variables: per atom, its reachable tuple count shrunk 4x per bound
   // argument position (a crude selectivity model - it only needs to *rank*
-  // literals, with cardinality snapshots supplying the scale). Atoms over
-  // absent relations cost nothing: they produce zero groundings and kill
-  // the row set immediately.
+  // literals, with cardinality snapshots supplying the scale), floored at
+  // one tuple. Atoms over absent or empty relations cost nothing: they
+  // produce zero groundings and kill the row set immediately.
   auto literal_cost = [&](size_t p) -> double {
     std::vector<char> b = bound;
     double cost = 0.0;
@@ -335,7 +409,7 @@ RuleEvaluator::ExecutionPlan RuleEvaluator::BuildPlan(
       const RelationalAtom& atom = *info[p].atoms[a];
       const Relation* rel = source_rel(info[p], a);
       if (rel != nullptr && !rel->IsEmpty()) {
-        double fanout = static_cast<double>(rel->NumTuples());
+        double fanout = static_cast<double>(info[p].reachable[a]);
         int bound_args = std::popcount(atom_signature(atom, b));
         fanout /= std::pow(4.0, std::min(bound_args, 16));
         cost += fanout < 1.0 ? 1.0 : fanout;
@@ -347,18 +421,10 @@ RuleEvaluator::ExecutionPlan RuleEvaluator::BuildPlan(
     return cost;
   };
 
-  // Greedy selection: the semi-naive delta literal is pinned first (the
-  // delta is small by construction and every pass must visit it anyway);
-  // afterwards always the cheapest remaining literal under the current
-  // bound-variable set, ties broken by body order for determinism.
+  // Greedy selection: the pinned literal first, afterwards always the
+  // cheapest remaining literal under the current bound-variable set, ties
+  // broken by body order for determinism.
   std::vector<char> used(n, 0);
-  int pinned = -1;
-  for (size_t p = 0; p < n; ++p) {
-    if (info[p].delta_offset >= 0) {
-      pinned = static_cast<int>(p);
-      break;
-    }
-  }
   for (size_t step_index = 0; step_index < n; ++step_index) {
     size_t best = n;
     double best_cost = 0.0;

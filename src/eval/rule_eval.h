@@ -16,6 +16,18 @@ namespace dmtl {
 
 class OperatorMemo;
 
+// Enumeration constants shared by the planner/interpreter (rule_eval.cc)
+// and the compiled VM (vm.cc), so a compiled program makes the same
+// scan/index decision as the plan it was compiled from.
+//
+// Relations below this many tuples are scanned, never index-probed.
+inline constexpr size_t kMinTuplesForIndex = 8;
+// Candidate tuples between guard checks inside join enumeration. Cheap
+// enough that one huge join observes a deadline within milliseconds, rare
+// enough to be invisible in profiles (the check is an atomic load + clock
+// read once per 4096 candidates).
+inline constexpr uint64_t kGuardStrideMask = 4095;
+
 // Runtime counters of the join planner, shared by every copy of one
 // evaluator. Relaxed atomics: per-rule tasks never run concurrently with
 // each other within a round (one task per rule), and round barriers order
@@ -57,7 +69,8 @@ struct PlannerStats {
 //
 // Stage 1 runs through a cost-based join planner by default: positive
 // literals are reordered by estimated selectivity (the semi-naive delta
-// literal pinned first), each atom probes an on-demand bound-signature
+// literal pinned first, the others charged only for the tuples its
+// temporal band can reach), each atom probes an on-demand bound-signature
 // index over its bound argument positions (Relation::GetIndex), and
 // candidate tuples whose temporal envelope cannot intersect the row's
 // accumulated extent are skipped before unification. The planner is a pure
@@ -175,6 +188,12 @@ class RuleEvaluator {
   // intersect it are skipped by enumeration (prunable atoms only).
   static Interval ExpandPruneWindow(Interval window,
                                     const std::vector<PathStep>& path);
+
+  // Forward dual of ExpandPruneWindow: the hull of an atom's time points
+  // carried leaf-to-root through its path, yielding a superset of where the
+  // enclosing literal can hold (prunable atoms only). BuildPlan charges
+  // later literals against the pinned delta literal's carried band.
+  static Interval CarryBand(Interval hull, const std::vector<PathStep>& path);
 
   ExecutionPlan BuildPlan(const Database& db, const Database* delta,
                           int delta_occurrence, PlannerStats* stats) const;

@@ -10,12 +10,6 @@ namespace dmtl {
 
 namespace {
 
-// Mirrors of the interpreter's enumeration constants (rule_eval.cc): same
-// index threshold so the scan/index decision matches at equal relation
-// sizes, same guard stride so deadline observation latency is comparable.
-constexpr size_t kVmMinTuplesForIndex = 8;
-constexpr uint64_t kVmGuardStrideMask = 4095;
-
 // Upper bound on punctual chain points emitted per batch: caps the interval
 // scratch buffer and bounds how far a walk can run between guard polls and
 // budget checks.
@@ -163,7 +157,7 @@ RuleVm::Variant& RuleVm::EnsureCompiled(int delta_occurrence,
       if (a.is_delta) continue;
       const Relation* rel = db.Find(a.pred);
       size_t n = rel == nullptr ? 0 : rel->NumTuples();
-      if (n >= std::max(kVmMinTuplesForIndex, 4 * a.num_tuples_at_compile)) {
+      if (n >= std::max(kMinTuplesForIndex, 4 * a.num_tuples_at_compile)) {
         need = true;
         break;
       }
@@ -196,7 +190,7 @@ Status RuleVm::Evaluate(const Database& db, const Database* delta,
     RtAtom& ra = v.atoms[slot];
     if (ra.rel == nullptr) ra.rel = db.Find(a.pred);
     if (ra.rel != nullptr && ra.index == nullptr && a.signature != 0 &&
-        ra.rel->NumTuples() >= kVmMinTuplesForIndex) {
+        ra.rel->NumTuples() >= kMinTuplesForIndex) {
       bool built_now = false;
       ra.index = ra.rel->GetIndex(a.signature, &built_now);
       if (built_now) ++built;
@@ -261,7 +255,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
       if (a.is_delta) {
         rel = delta_ == nullptr ? nullptr : delta_->Find(a.pred);
         if (rel != nullptr && a.signature != 0 &&
-            rel->NumTuples() >= kVmMinTuplesForIndex) {
+            rel->NumTuples() >= kMinTuplesForIndex) {
           bool built_now = false;
           index = rel->GetIndex(a.signature, &built_now);
           if (built_now && RuleCompiler::MutableStats(eval_) != nullptr) {
@@ -290,7 +284,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
       auto try_tuple = [&](const Tuple& tuple, const IntervalSet& set,
                            bool probing) -> Status {
         if (guard_ != nullptr &&
-            (++guard_counter_ & kVmGuardStrideMask) == 0) {
+            (++guard_counter_ & kGuardStrideMask) == 0) {
           DMTL_RETURN_IF_ERROR(guard_->Check());
         }
         if (tuple.size() != a.arity) return Status::Ok();
@@ -477,7 +471,7 @@ Status RuleVm::Exec(size_t ip, const IntervalSet& cur) {
       Status status = Status::Ok();
       for (const Rational& p : points) {
         if (guard_ != nullptr &&
-            (++guard_counter_ & kVmGuardStrideMask) == 0) {
+            (++guard_counter_ & kGuardStrideMask) == 0) {
           status = guard_->Check();
           if (!status.ok()) break;
         }

@@ -311,5 +311,51 @@ TEST(JoinPlanTest, DeltaPinnedRecursionAgrees) {
                            "delta-pinned recursion");
 }
 
+// The shape of the contract's fee rules (40-43): a `level` that persists
+// tick to tick and shifts at every event (the `skew` of rules 21-22, so
+// each event adds a one-point delta), punctual `mod` events, and `fee`
+// states that persist through diamondminus[1,1] until their account's
+// next event. With `level` as the delta literal, every live `fee` tuple
+// survives the hull prune while all but one `mod` event fall outside the
+// one-tick band, so the band-charged planner binds the event first and
+// probes `fee` by account: about one memo intersection per event. A
+// size-only planner scans the (fewer) `fee` tuples first and pays one per
+// live fee state per delta dispatch (1090 here).
+TEST(JoinPlanTest, NarrowDeltaJoinsPunctualLiteralFirst) {
+  constexpr int kTicks = 200;
+  std::ostringstream text;
+  text << "open()@[0," << kTicks << "] .\n"
+       << "level(0)@0 .\n"
+       << "level(K) :- diamondminus[1,1] level(K), not mod(_, _), open() .\n"
+       << "level(K) :- diamondminus[1,1] level(X), mod(A, S), K = X + S .\n"
+       << "fee(A, C) :- diamondminus[1,1] fee(A, C), not mod(A, _), open() "
+          ".\n"
+       << "fee(A, C) :- mod(A, S), diamondminus[1,1] fee(A, OldC), "
+          "level(K), C = OldC + S .\n";
+  // Eight accounts carry fee state; every other event comes from an
+  // account without one, so `mod` holds more tuples than `fee` and a
+  // size-only cost ranks `fee` first.
+  for (int a = 0; a < 8; ++a) text << "fee(a" << a << ", 0)@0 .\n";
+  size_t events = 0;
+  for (int t = 3; t < kTicks; t += 3, ++events) {
+    const char* owner = events % 2 == 0 ? "a" : "x";
+    text << "mod(" << owner << (events / 2) % 8 << ", " << t << ")@" << t
+         << " .\n";
+  }
+  auto unit = Parser::Parse(text.str());
+  ASSERT_TRUE(unit.ok()) << unit.status();
+  EngineOptions options;
+  options.min_time = Rational(0);
+  options.max_time = Rational(kTicks);
+
+  Database db = unit->database;
+  EngineStats stats;
+  ASSERT_TRUE(Materialize(unit->program, &db, options, &stats).ok());
+  EXPECT_GT(stats.memo_intersections, 0u);
+  EXPECT_LE(stats.memo_intersections, events) << stats.ToString();
+  ExpectPlannerEquivalence(unit->program, unit->database, options,
+                           "narrow delta band");
+}
+
 }  // namespace
 }  // namespace dmtl
